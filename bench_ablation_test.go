@@ -123,7 +123,7 @@ func BenchmarkErasureDecode(b *testing.B) {
 	bad[7] ^= 0xFF
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.DecodeErasures(bad, []int{7}); err != nil {
+		if _, err := code.DecodeErrorsErasures(bad, []int{7}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,26 +142,6 @@ func BenchmarkPageUpgrade(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-	}
-}
-
-func BenchmarkAblationSectoredCache(b *testing.B) {
-	c := cache.NewSectored(1<<20, 8)
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]uint64, 1<<16)
-	for i := range addrs {
-		if i > 0 && rng.Float64() < 0.7 {
-			addrs[i] = addrs[i-1] + 1
-		} else {
-			addrs[i] = uint64(rng.Intn(1 << 22))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := addrs[i%len(addrs)]
-		if !c.Access(a, false) {
-			c.Insert(a, i%3 == 0, false)
-		}
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The implementation lives under internal/: Galois-field arithmetic and a
 // Reed–Solomon codec at the bottom; chipkill ECC schemes (commercial
-// SCCDCD, double chip sparing, LOT-ECC, VECC); DRAM, power, cache, memory
+// SCCDCD, double chip sparing, LOT-ECC); DRAM, power, cache, memory
 // controller and CPU models; the ARCC controller itself (internal/core);
 // the enhanced scrubber; the sharded Monte Carlo engine (internal/mc) that
 // every lifetime sweep runs on; and the reliability and experiment

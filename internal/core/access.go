@@ -62,29 +62,12 @@ func (c *Controller) ReadLineInto(page, line int, data []byte) error {
 	}
 }
 
-// ReadPair reads upgraded pair p (lines 2p and 2p+1) of page, returning the
-// 128 B payload in a fresh slice. Two channels are accessed in lockstep.
-// ReadPair is a compatibility wrapper over ReadPairInto.
-func (c *Controller) ReadPair(page, pair int) ([]byte, error) {
-	data := make([]byte, 2*LineBytes)
-	err := c.ReadPairInto(page, pair, data)
-	return data, err
-}
-
-// ReadPairInto is ReadPair with a caller-owned 128 B buffer; it performs no
-// heap allocations.
-func (c *Controller) ReadPairInto(page, pair int, data []byte) error {
-	if len(data) != 2*LineBytes {
-		panic(fmt.Sprintf("core: ReadPairInto with %d bytes, want %d", len(data), 2*LineBytes))
-	}
-	return c.readPairInto(page, pair, data)
-}
-
-// readPairInto is ReadPairInto without the length check (internal callers
-// pass scratch slices of the right size).
+// readPairInto reads upgraded pair p (lines 2p and 2p+1) of page into the
+// 128 B data buffer, accessing two channels in lockstep. Internal callers
+// pass scratch slices of the right size.
 func (c *Controller) readPairInto(page, pair int, data []byte) error {
 	if c.table.Mode(page) != pagetable.Upgraded {
-		panic(fmt.Sprintf("core: ReadPair on %v page %d", c.table.Mode(page), page))
+		panic(fmt.Sprintf("core: pair read on %v page %d", c.table.Mode(page), page))
 	}
 	chX, chY, slot := c.pairChannels(pair)
 	rank, addr := c.addrOf(page, slot)
@@ -99,9 +82,8 @@ func (c *Controller) readPairInto(page, pair int, data []byte) error {
 // WriteLine serves a 64 B line write. For relaxed pages the line is encoded
 // and stored in its channel. For upgraded/upgraded8 pages the partner
 // sub-lines must be merged so all check symbols per codeword stay
-// consistent: the controller performs the read-modify-write that the LLC
-// normally avoids by writing back whole pairs (use WritePair for that path).
-// It performs no heap allocations.
+// consistent, so the controller performs a read-modify-write of the pair
+// or quad. It performs no heap allocations.
 func (c *Controller) WriteLine(page, line int, data []byte) error {
 	if len(data) != LineBytes {
 		panic(fmt.Sprintf("core: WriteLine with %d bytes, want %d", len(data), LineBytes))
@@ -143,19 +125,6 @@ func (c *Controller) WriteLine(page, line int, data []byte) error {
 	}
 }
 
-// WritePair writes back a full 128 B upgraded pair — the efficient path the
-// modified LLC uses when evicting both sub-lines together (§4.2.3).
-func (c *Controller) WritePair(page, pair int, data []byte) {
-	if len(data) != 2*LineBytes {
-		panic(fmt.Sprintf("core: WritePair with %d bytes, want %d", len(data), 2*LineBytes))
-	}
-	if c.table.Mode(page) != pagetable.Upgraded {
-		panic(fmt.Sprintf("core: WritePair on %v page %d", c.table.Mode(page), page))
-	}
-	c.stats.Writes += 2
-	c.writePairStored(page, pair, data)
-}
-
 func (c *Controller) writePairStored(page, pair int, data []byte) {
 	chX, chY, slot := c.pairChannels(pair)
 	rank, addr := c.addrOf(page, slot)
@@ -180,15 +149,10 @@ func (c *Controller) noteOutcome(corrected int, err error) {
 	}
 }
 
-// RawRead returns the 72 stored bytes of one sub-line as the devices return
-// them (fault corruption applied, no ECC), in a fresh slice. The scrubber's
-// pattern tests use this primitive (via RawReadInto for the hot loop).
-func (c *Controller) RawRead(page, line int) []byte {
-	return c.RawReadInto(page, line, make([]byte, storedLineBytes))
-}
-
-// RawReadInto is RawRead with a caller-owned buffer, which is overwritten
-// and returned; it performs no heap allocations.
+// RawReadInto returns the 72 stored bytes of one sub-line as the devices
+// return them (fault corruption applied, no ECC) in raw, which is
+// overwritten and returned; it performs no heap allocations. The
+// scrubber's pattern tests use this primitive.
 func (c *Controller) RawReadInto(page, line int, raw []byte) []byte {
 	ch, slot := c.channelOf(line)
 	rank, addr := c.addrOf(page, slot)

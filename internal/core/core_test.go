@@ -180,22 +180,53 @@ func TestWriteLineOnUpgradedPageReadModifyWrite(t *testing.T) {
 	}
 }
 
+// TestWritePairAndReadPair round-trips whole access units through
+// WriteLine/ReadLineInto in every page mode: a relaxed line, an upgraded
+// pair (lines 2p, 2p+1 sharing codewords across two channels) and an
+// upgraded8 quad (lines 4q..4q+3 across four channels).
 func TestWritePairAndReadPair(t *testing.T) {
-	c := newRelaxedController(t)
+	cfg := testConfig()
+	cfg.Channels = 4
+	c := New(cfg)
+	c.RelaxAll()
+	if err := c.UpgradePage(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UpgradePage(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UpgradePageToStrong(3); err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(5))
-	page := 3
-	if err := c.UpgradePage(page); err != nil {
-		t.Fatal(err)
-	}
-	pairData := make([]byte, 2*LineBytes)
-	r.Read(pairData)
-	c.WritePair(page, 7, pairData)
-	got, err := c.ReadPair(page, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pairData) {
-		t.Fatal("pair round trip mismatch")
+	got := make([]byte, LineBytes)
+	for _, tc := range []struct {
+		mode        pagetable.Mode
+		page, first int
+		lines       int
+	}{
+		{pagetable.Relaxed, 1, 9, 1},
+		{pagetable.Upgraded, 2, 14, 2},  // pair 7
+		{pagetable.Upgraded8, 3, 12, 4}, // quad 3
+	} {
+		if m := c.PageMode(tc.page); m != tc.mode {
+			t.Fatalf("page %d in mode %v, want %v", tc.page, m, tc.mode)
+		}
+		want := make([][]byte, tc.lines)
+		for i := range want {
+			want[i] = randLine(r)
+			if err := c.WriteLine(tc.page, tc.first+i, want[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range want {
+			if err := c.ReadLineInto(tc.page, tc.first+i, got); err != nil {
+				t.Fatalf("%v line %d: %v", tc.mode, tc.first+i, err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("%v line %d: round trip mismatch", tc.mode, tc.first+i)
+			}
+		}
 	}
 }
 
@@ -383,7 +414,7 @@ func TestRawReadWriteRoundTrip(t *testing.T) {
 		raw[i] = 0xFF
 	}
 	c.RawWrite(0, 5, raw)
-	if got := c.RawRead(0, 5); !bytes.Equal(got, raw) {
+	if got := c.RawReadInto(0, 5, make([]byte, storedLineBytes)); !bytes.Equal(got, raw) {
 		t.Fatal("raw round trip mismatch")
 	}
 }

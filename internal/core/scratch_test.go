@@ -9,8 +9,8 @@ import (
 	"arcc/internal/pagetable"
 )
 
-// TestReadIntoMatchesRead pins the Into variants to the allocating wrappers
-// across all three page modes, with faults injected so corrections and raw
+// TestReadIntoMatchesRead pins ReadLineInto to the allocating ReadLine
+// wrapper across all three page modes, with faults injected so corrections and raw
 // passthrough paths are exercised too.
 func TestReadIntoMatchesRead(t *testing.T) {
 	for _, upgrade := range []UpgradeCode{UpgradeSCCDCD, UpgradeSparing} {
@@ -40,8 +40,6 @@ func TestReadIntoMatchesRead(t *testing.T) {
 		c.InjectFault(0, 0, dram.Fault{Device: 3, Scope: dram.ScopeDevice, Mode: dram.StuckAt1})
 
 		buf := make([]byte, LineBytes)
-		pairBuf := make([]byte, 2*LineBytes)
-		quadBuf := make([]byte, 4*LineBytes)
 		for page := 0; page < 3; page++ {
 			for line := 0; line < LinesPerPage; line++ {
 				want, wantErr := c.ReadLine(page, line)
@@ -49,20 +47,6 @@ func TestReadIntoMatchesRead(t *testing.T) {
 				if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(want, buf) {
 					t.Fatalf("upgrade %v page %d line %d: ReadLineInto diverged", upgrade, page, line)
 				}
-			}
-		}
-		for pair := 0; pair < LinesPerPage/2; pair++ {
-			want, wantErr := c.ReadPair(1, pair)
-			gotErr := c.ReadPairInto(1, pair, pairBuf)
-			if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(want, pairBuf) {
-				t.Fatalf("upgrade %v pair %d: ReadPairInto diverged", upgrade, pair)
-			}
-		}
-		for quad := 0; quad < LinesPerPage/4; quad++ {
-			want, wantErr := c.ReadQuad(2, quad)
-			gotErr := c.ReadQuadInto(2, quad, quadBuf)
-			if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(want, quadBuf) {
-				t.Fatalf("upgrade %v quad %d: ReadQuadInto diverged", upgrade, quad)
 			}
 		}
 	}

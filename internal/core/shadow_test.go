@@ -72,7 +72,11 @@ func TestShadowModelRandomOperations(t *testing.T) {
 							pair := rng.Intn(LinesPerPage / 2)
 							data := make([]byte, 2*LineBytes)
 							rng.Read(data)
-							c.WritePair(page, pair, data)
+							for half := 0; half < 2; half++ {
+								if err := c.WriteLine(page, 2*pair+half, data[half*LineBytes:(half+1)*LineBytes]); err != nil {
+									t.Fatalf("op %d: pair write: %v", op, err)
+								}
+							}
 							shadow[[2]int{page, 2 * pair}] = data[:LineBytes:LineBytes]
 							shadow[[2]int{page, 2*pair + 1}] = data[LineBytes:]
 						} else {

@@ -164,10 +164,16 @@ func TestWriteQuadAndReadQuad(t *testing.T) {
 	}
 	data := make([]byte, 4*LineBytes)
 	rand.New(rand.NewSource(5)).Read(data)
-	c.WriteQuad(2, 3, data)
-	got, err := c.ReadQuad(2, 3)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("quad round trip failed: %v", err)
+	for i := 0; i < 4; i++ { // quad 3: lines 12..15
+		if err := c.WriteLine(2, 12+i, data[i*LineBytes:(i+1)*LineBytes]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, LineBytes)
+	for i := 0; i < 4; i++ {
+		if err := c.ReadLineInto(2, 12+i, got); err != nil || !bytes.Equal(got, data[i*LineBytes:(i+1)*LineBytes]) {
+			t.Fatalf("quad line %d round trip failed: %v", 12+i, err)
+		}
 	}
 }
 
@@ -210,15 +216,16 @@ func TestNewPanicsOnOddChannelCount(t *testing.T) {
 }
 
 func TestFourChannelScrubPrimitivesCoverAllLines(t *testing.T) {
-	// RawRead/RawWrite/CorrectLine must address all 64 lines across the
+	// RawReadInto/RawWrite/CorrectLine must address all 64 lines across the
 	// four channels without collisions.
 	c := newQuadController(t)
 	for line := 0; line < LinesPerPage; line++ {
 		raw := bytes.Repeat([]byte{byte(line)}, storedLineBytes)
 		c.RawWrite(7, line, raw)
 	}
+	got := make([]byte, storedLineBytes)
 	for line := 0; line < LinesPerPage; line++ {
-		got := c.RawRead(7, line)
+		c.RawReadInto(7, line, got)
 		if got[0] != byte(line) {
 			t.Fatalf("line %d raw data collided: got %#x", line, got[0])
 		}

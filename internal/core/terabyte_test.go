@@ -160,8 +160,8 @@ func TestRelaxAllPristineMatchesRelaxAll(t *testing.T) {
 			t.Fatalf("page %d: divergent read-back", page)
 		}
 		// The raw stored form must agree too.
-		rawF := fast.RawRead(page, line)
-		rawS := slow.RawRead(page, line)
+		rawF := fast.RawReadInto(page, line, make([]byte, storedLineBytes))
+		rawS := slow.RawReadInto(page, line, make([]byte, storedLineBytes))
 		if !bytes.Equal(rawF, rawS) {
 			t.Fatalf("page %d: divergent stored form", page)
 		}

@@ -53,7 +53,7 @@ func TestParseScenarioRejects(t *testing.T) {
 		"missing name":    `{"rate_factor": 2}`,
 		"bad fault type":  `{"name":"x", "fit_overrides": {"pin": 1}}`,
 		"bad scheme":      `{"name":"x", "scheme": "hamming"}`,
-		"bad system":      `{"name":"x", "system": "vecc"}`,
+		"bad system":      `{"name":"x", "system": "magic"}`,
 		"negative factor": `{"name":"x", "rate_factor": -1}`,
 		"fraction over 1": `{"name":"x", "upgraded_fraction": 1.5}`,
 		"zero years":      `{"name":"x", "years": -3}`,

@@ -27,29 +27,15 @@ import (
 //     ratios multiplied out; arrival times and device positions are
 //     uniform under both processes and cancel.
 
-// PNoArrivals returns the probability that SampleArrivals draws an empty
-// history: e^{-λ} with λ the channel-aggregated arrival mean.
-func PNoArrivals(rates Rates, ranks, devicesPerRank int, years float64) float64 {
-	return math.Exp(-ExpectedArrivals(rates, ranks, devicesPerRank, years))
-}
-
-// SampleArrivalsConditional draws a fault history conditioned on at least
-// one arrival in the lifespan, returning the sorted trajectory and its
+// SampleArrivalsConditionalInto draws a fault history conditioned on at
+// least one arrival in the lifespan into buf's capacity (contents ignored,
+// backing array reused), returning the sorted trajectory and its
 // likelihood ratio 1 - e^{-λ} against the unconditioned process. It
 // panics when the aggregated rate is zero (conditioning on an impossible
-// event). Monte Carlo loops should call SampleArrivalsConditionalInto
-// with a reused buffer instead.
-func SampleArrivalsConditional(rng *rand.Rand, rates Rates, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	buf := make([]Arrival, 0, ArrivalCapHint(rates, ranks, devicesPerRank, years))
-	return SampleArrivalsConditionalInto(rng, buf, rates, ranks, devicesPerRank, years)
-}
-
-// SampleArrivalsConditionalInto is SampleArrivalsConditional drawing into
-// buf's capacity (contents ignored, backing array reused). The total
-// count comes from the zero-truncated Poisson; each arrival's type is
-// then categorical with probability proportional to the type's aggregated
-// rate — the standard marked-Poisson factorization, so the conditional
-// law exactly matches SampleArrivals given n >= 1.
+// event). The total count comes from the zero-truncated Poisson; each
+// arrival's type is then categorical with probability proportional to the
+// type's aggregated rate — the standard marked-Poisson factorization, so
+// the conditional law exactly matches SampleArrivals given n >= 1.
 func SampleArrivalsConditionalInto(rng *rand.Rand, buf []Arrival, rates Rates, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
 	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
 		panic("faultmodel: invalid sampling parameters")
@@ -97,20 +83,13 @@ func SampleArrivalsConditionalInto(rng *rand.Rand, buf []Arrival, rates Rates, r
 	return out, -math.Expm1(-lambda) // 1 - e^{-λ}, accurate for small λ
 }
 
-// SampleArrivalsTilted draws a fault history under rates scaled by tilt
-// and returns the sorted trajectory with its likelihood ratio
+// SampleArrivalsTiltedInto draws a fault history under rates scaled by
+// tilt into buf's capacity (contents ignored, backing array reused) and
+// returns the sorted trajectory with its likelihood ratio
 // e^{(tilt-1)λ} · tilt^{-n} against the unscaled process (λ the unscaled
 // aggregated mean, n the trajectory's arrival count). tilt must be
 // positive; values above 1 make faults commoner and are the useful
-// regime. Monte Carlo loops should call SampleArrivalsTiltedInto with a
-// reused buffer instead.
-func SampleArrivalsTilted(rng *rand.Rand, rates Rates, tilt float64, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
-	hint := int(float64(ArrivalCapHint(rates, ranks, devicesPerRank, years)) * math.Max(tilt, 1))
-	return SampleArrivalsTiltedInto(rng, make([]Arrival, 0, hint), rates, tilt, ranks, devicesPerRank, years)
-}
-
-// SampleArrivalsTiltedInto is SampleArrivalsTilted drawing into buf's
-// capacity (contents ignored, backing array reused).
+// regime.
 func SampleArrivalsTiltedInto(rng *rand.Rand, buf []Arrival, rates Rates, tilt float64, ranks, devicesPerRank int, years float64) ([]Arrival, float64) {
 	if ranks <= 0 || devicesPerRank <= 0 || years < 0 {
 		panic("faultmodel: invalid sampling parameters")

@@ -11,18 +11,6 @@ import (
 // importance samplers exist for.
 func rareRates() Rates { return FieldStudyRates().Scale(0.05) }
 
-func TestPNoArrivals(t *testing.T) {
-	rates := FieldStudyRates()
-	p0 := PNoArrivals(rates, 2, 18, 7)
-	want := math.Exp(-ExpectedArrivals(rates, 2, 18, 7))
-	if math.Abs(p0-want) > 1e-15 {
-		t.Fatalf("PNoArrivals = %v, want %v", p0, want)
-	}
-	if p0 <= 0 || p0 >= 1 {
-		t.Fatalf("PNoArrivals = %v outside (0,1)", p0)
-	}
-}
-
 func TestConditionalAlwaysNonEmptySortedAndWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rates := rareRates()
@@ -200,11 +188,11 @@ func TestZeroTruncatedPoissonLaw(t *testing.T) {
 func TestImportancePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for name, f := range map[string]func(){
-		"conditional zero rate": func() { SampleArrivalsConditional(rng, Rates{}, 2, 18, 7) },
-		"conditional bad geom":  func() { SampleArrivalsConditional(rng, FieldStudyRates(), 0, 18, 7) },
-		"tilt zero":             func() { SampleArrivalsTilted(rng, FieldStudyRates(), 0, 2, 18, 7) },
-		"tilt negative":         func() { SampleArrivalsTilted(rng, FieldStudyRates(), -2, 2, 18, 7) },
-		"tilt bad geom":         func() { SampleArrivalsTilted(rng, FieldStudyRates(), 2, 2, 0, 7) },
+		"conditional zero rate": func() { SampleArrivalsConditionalInto(rng, nil, Rates{}, 2, 18, 7) },
+		"conditional bad geom":  func() { SampleArrivalsConditionalInto(rng, nil, FieldStudyRates(), 0, 18, 7) },
+		"tilt zero":             func() { SampleArrivalsTiltedInto(rng, nil, FieldStudyRates(), 0, 2, 18, 7) },
+		"tilt negative":         func() { SampleArrivalsTiltedInto(rng, nil, FieldStudyRates(), -2, 2, 18, 7) },
+		"tilt bad geom":         func() { SampleArrivalsTiltedInto(rng, nil, FieldStudyRates(), 2, 2, 0, 7) },
 	} {
 		func() {
 			defer func() {

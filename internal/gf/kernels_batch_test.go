@@ -53,34 +53,17 @@ func TestMulRowBatchMatchesMulRow(t *testing.T) {
 	}
 }
 
-func TestMulAddWord(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	acc := make([]byte, Lanes)
-	src := make([]byte, Lanes)
-	for trial := 0; trial < 200; trial++ {
-		r.Read(acc)
-		r.Read(src)
-		c := Elem(r.Intn(Size))
-		row := MulRowBatch(c)
-		v := MulAddWord(PackWord(acc), PackWord(src), &row)
-		for l := 0; l < Lanes; l++ {
-			if got, want := byte(v>>(8*l)), acc[l]^Mul(c, src[l]); got != want {
-				t.Fatalf("MulAddWord lane %d: got %#x, want %#x", l, got, want)
-			}
-		}
-	}
-}
-
+// TestPackUnpackRoundTrip pins PackWord's lane layout: unpacking lane l
+// of the packed word (byte l, little-endian) gives back b[l].
 func TestPackUnpackRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	b := make([]byte, Lanes)
-	out := make([]byte, Lanes)
 	for trial := 0; trial < 100; trial++ {
 		r.Read(b)
-		UnpackWord(PackWord(b), out)
+		v := PackWord(b)
 		for l := range b {
-			if out[l] != b[l] {
-				t.Fatalf("round trip lane %d: got %#x, want %#x", l, out[l], b[l])
+			if got := byte(v >> (8 * l)); got != b[l] {
+				t.Fatalf("round trip lane %d: got %#x, want %#x", l, got, b[l])
 			}
 		}
 	}
@@ -104,10 +87,14 @@ func TestGatherScatterWord(t *testing.T) {
 				}
 			}
 		}
-		// Scatter writes back exactly the gathered lanes.
+		// Scattering each gathered lane back to its codeword rebuilds
+		// exactly the gathered lanes.
 		out := make([]byte, stride*Lanes)
 		for off := 0; off < stride; off++ {
-			ScatterWord(GatherWord(buf, off, stride, lanes), out, off, stride, lanes)
+			v := GatherWord(buf, off, stride, lanes)
+			for l := 0; l < lanes; l++ {
+				out[l*stride+off] = byte(v >> (8 * l))
+			}
 		}
 		for l := 0; l < lanes; l++ {
 			for off := 0; off < stride; off++ {
@@ -116,47 +103,6 @@ func TestGatherScatterWord(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestMulAddSliceBatchMatchesMulAddSlice(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 200; trial++ {
-		n := r.Intn(100) // covers 0, sub-word, and non-multiple-of-8 tails
-		src := make([]byte, n)
-		r.Read(src)
-		c := Elem(r.Intn(Size))
-		got := make([]byte, n)
-		want := make([]byte, n)
-		r.Read(got)
-		copy(want, got)
-		MulAddSliceBatch(got, src, c)
-		MulAddSlice(want, src, c)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("MulAddSliceBatch(c=%#x, n=%d): [%d] = %#x, want %#x", c, n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMulAddSliceBatchAllocs(t *testing.T) {
-	src := make([]byte, 64)
-	dst := make([]byte, 64)
-	if n := testing.AllocsPerRun(100, func() { MulAddSliceBatch(dst, src, 0x53) }); n != 0 {
-		t.Fatalf("MulAddSliceBatch allocates %v per run, want 0", n)
-	}
-}
-
-func BenchmarkMulAddSliceBatch(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	src := make([]byte, 64)
-	dst := make([]byte, 64)
-	r.Read(src)
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MulAddSliceBatch(dst, src, byte(i)|1)
 	}
 }
 

@@ -99,8 +99,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		}
 
 		var executed atomic.Int64
-		acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, &executed), opts,
-			&CheckpointConfig{Resume: cp})
+		resumeOpts := opts
+		resumeOpts.Checkpoint = &CheckpointConfig{Resume: cp}
+		acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), resumeOpts)
 		if err != nil {
 			t.Fatalf("parallelism %d: resume: %v", par, err)
 		}
@@ -135,8 +136,8 @@ func TestCheckpointResumeAfterManyInterruptions(t *testing.T) {
 	if interruptions < 2 {
 		t.Fatalf("only %d interruptions; the test needs several to mean anything", interruptions)
 	}
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2},
-		&CheckpointConfig{Resume: cp})
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2,
+		Checkpoint: &CheckpointConfig{Resume: cp}})
 	if err != nil {
 		t.Fatalf("final resume: %v", err)
 	}
@@ -150,8 +151,8 @@ func TestCheckpointResumeAfterManyInterruptions(t *testing.T) {
 func TestCheckpointFullyRestoredRunExecutesNothing(t *testing.T) {
 	const trials, seed = 300, 3
 	var full *Checkpoint
-	_, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2},
-		&CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }})
+	_, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 2,
+		Checkpoint: &CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +162,8 @@ func TestCheckpointFullyRestoredRunExecutesNothing(t *testing.T) {
 
 	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
 	var executed atomic.Int64
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 4},
-		&CheckpointConfig{Resume: full})
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 4,
+		Checkpoint: &CheckpointConfig{Resume: full}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +194,8 @@ func TestCheckpointMismatchIgnored(t *testing.T) {
 			executed.Add(1)
 			job.Trial(rng, trial, acc)
 		}
-		acc, err := RunCtxResumable(context.Background(), jobCounted, Options{Parallelism: 1},
-			&CheckpointConfig{Resume: stale})
+		acc, err := RunCtx(context.Background(), jobCounted, Options{Parallelism: 1,
+			Checkpoint: &CheckpointConfig{Resume: stale}})
 		if err != nil {
 			t.Fatalf("%s mismatch: %v", name, err)
 		}
@@ -211,8 +212,8 @@ func TestCheckpointMismatchIgnored(t *testing.T) {
 func TestCheckpointCorruptShardReruns(t *testing.T) {
 	const trials, seed = 500, 13
 	var full *Checkpoint
-	_, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1},
-		&CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }})
+	_, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Sink: func(cp *Checkpoint) { full = cp }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +227,8 @@ func TestCheckpointCorruptShardReruns(t *testing.T) {
 
 	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
 	var executed atomic.Int64
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 1},
-		&CheckpointConfig{Resume: corrupt})
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, &executed), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Resume: corrupt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +245,8 @@ func TestCheckpointNonMarshalableAccNeverSnapshots(t *testing.T) {
 	// sumJob's accumulator has no MarshalBinary: the engine must run the
 	// job normally and never call the sink.
 	sank := 0
-	acc, err := RunCtxResumable(context.Background(), sumJob(500, 1), Options{Parallelism: 2},
-		&CheckpointConfig{Sink: func(*Checkpoint) { sank++ }})
+	acc, err := RunCtx(context.Background(), sumJob(500, 1), Options{Parallelism: 2,
+		Checkpoint: &CheckpointConfig{Sink: func(*Checkpoint) { sank++ }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +263,8 @@ func TestCheckpointEveryShardsCadence(t *testing.T) {
 	const trials = 1000 // 16 shards at the default size
 	snaps := 0
 	var last *Checkpoint
-	_, err := RunCtxResumable(context.Background(), ckJob(trials, 5, nil), Options{Parallelism: 1},
-		&CheckpointConfig{EveryShards: 4, Sink: func(cp *Checkpoint) { snaps++; last = cp }})
+	_, err := RunCtx(context.Background(), ckJob(trials, 5, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{EveryShards: 4, Sink: func(cp *Checkpoint) { snaps++; last = cp }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +281,8 @@ func TestCheckpointPeriodCadence(t *testing.T) {
 	// snapshots can fire, and with EveryShards unset they must not fire
 	// per shard.
 	snaps := 0
-	_, err := RunCtxResumable(context.Background(), ckJob(1000, 5, nil), Options{Parallelism: 1},
-		&CheckpointConfig{Period: time.Hour, Sink: func(*Checkpoint) { snaps++ }})
+	_, err := RunCtx(context.Background(), ckJob(1000, 5, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Period: time.Hour, Sink: func(*Checkpoint) { snaps++ }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +310,8 @@ func TestCheckpointFlushOnCancelCoversCompletedShards(t *testing.T) {
 			}
 		}
 	}
-	_, err := RunCtxResumable(ctx, job, Options{Parallelism: 1},
-		&CheckpointConfig{EveryShards: 100, Sink: func(cp *Checkpoint) { last = cp }})
+	_, err := RunCtx(ctx, job, Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{EveryShards: 100, Sink: func(cp *Checkpoint) { last = cp }}})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -390,8 +391,8 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	}
 
 	want := Run(ckJob(trials, seed, nil), Options{Parallelism: 1}).(*ckSum)
-	acc, err := RunCtxResumable(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1},
-		&CheckpointConfig{Resume: &back})
+	acc, err := RunCtx(context.Background(), ckJob(trials, seed, nil), Options{Parallelism: 1,
+		Checkpoint: &CheckpointConfig{Resume: &back}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 
 	// First attempt: job A completes, job B is cancelled after 3 shards.
 	r := NewResumer(nil, 0, 0, persist)
-	if _, err := RunCtxResumable(context.Background(), ckJob(trials, seedA, nil), Options{Parallelism: 1}, r.JobCheckpoint()); err != nil {
+	if _, err := RunCtx(context.Background(), ckJob(trials, seedA, nil), Options{Parallelism: 1, Checkpoint: r.JobCheckpoint()}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -427,7 +428,7 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := RunCtxResumable(ctx, ckJob(trials, seedB, nil), Options{Parallelism: 1}, ckB); !errors.Is(err, ErrCanceled) {
+	if _, err := RunCtx(ctx, ckJob(trials, seedB, nil), Options{Parallelism: 1, Checkpoint: ckB}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
 	if saved[0] == nil || saved[0].Done() != trials || saved[1] == nil || saved[1].Done() == 0 {
@@ -437,11 +438,11 @@ func TestResumerAlignsJobSequence(t *testing.T) {
 	// Second attempt from the persisted map: the sequence indices line up.
 	var execA, execB atomic.Int64
 	r2 := NewResumer(saved, 0, 0, nil)
-	accA, err := RunCtxResumable(context.Background(), ckJob(trials, seedA, &execA), Options{Parallelism: 1}, r2.JobCheckpoint())
+	accA, err := RunCtx(context.Background(), ckJob(trials, seedA, &execA), Options{Parallelism: 1, Checkpoint: r2.JobCheckpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	accB, err := RunCtxResumable(context.Background(), ckJob(trials, seedB, &execB), Options{Parallelism: 1}, r2.JobCheckpoint())
+	accB, err := RunCtx(context.Background(), ckJob(trials, seedB, &execB), Options{Parallelism: 1, Checkpoint: r2.JobCheckpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,11 @@ import (
 	"sync"
 )
 
-// ErrCanceled is the sentinel RunCtx (and the MapCtx/MapScratchCtx
-// wrappers) return when the context is cancelled before the job
-// completes. The engine stops within one shard boundary of the cancel: no
-// new shard starts once the context is done, in-flight shards finish, and
-// every worker goroutine exits before RunCtx returns.
+// ErrCanceled is the sentinel RunCtx (and the MapScratchCtx wrapper)
+// returns when the context is cancelled before the job completes. The
+// engine stops within one shard boundary of the cancel: no new shard
+// starts once the context is done, in-flight shards finish, and every
+// worker goroutine exits before RunCtx returns.
 var ErrCanceled = errors.New("mc: run canceled")
 
 // DefaultShardSize is the number of trials per shard when Options.ShardSize
@@ -364,53 +364,17 @@ func NewProgressPrinter(w io.Writer, label string) func(done, total int) {
 	}
 }
 
-// Map runs n trials and returns their results in trial order: a
+// MapScratch runs n trials and returns their results in trial order: a
 // convenience wrapper over Run for jobs whose trials each produce one
 // independent value (e.g. one simulator run per seed). The per-trial rng
-// comes from the trial's shard stream as usual.
-func Map[T any](n int, seed int64, opts Options, f func(rng *rand.Rand, trial int) T) []T {
-	out, err := MapCtx(context.Background(), n, seed, opts, f)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return out
-}
-
-// MapCtx is Map under a context: a cancelled context returns
-// (nil, ErrCanceled) within one shard boundary.
-func MapCtx[T any](ctx context.Context, n int, seed int64, opts Options, f func(rng *rand.Rand, trial int) T) ([]T, error) {
-	size := opts.shardSize()
-	if size > n {
-		size = n
-	}
-	acc, err := RunCtx(ctx, Job{
-		Trials: n,
-		Seed:   seed,
-		// Pre-size each shard's buffers to the shard size, so the trial
-		// loop appends without regrowth.
-		NewAcc: func() Accumulator {
-			return &mapAcc[T]{idx: make([]int, 0, size), vals: make([]T, 0, size)}
-		},
-		Trial: func(rng *rand.Rand, trial int, a Accumulator) {
-			ma := a.(*mapAcc[T])
-			ma.idx = append(ma.idx, trial)
-			ma.vals = append(ma.vals, f(rng, trial))
-		},
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return collectMap[T](acc, n), nil
-}
-
-// MapScratch is Map with a reusable scratch workspace, mirroring the
-// Job.NewScratch/TrialScratch pair: newScratch runs once per worker and its
-// result is threaded through every trial that worker executes. Like Job
-// scratch, the workspace must carry capacity only — a trial must not read
-// state a previous trial left behind — so results stay bit-identical at any
-// parallelism. sim.RunReplicated and the Fig 7.1-7.3 fan-outs thread a
-// sim.Scratch this way, so consecutive simulator runs on a worker reuse one
-// world's backing arrays.
+// comes from the trial's shard stream as usual, and a reusable scratch
+// workspace mirrors the Job.NewScratch/TrialScratch pair: newScratch runs
+// once per worker and its result is threaded through every trial that
+// worker executes. Like Job scratch, the workspace must carry capacity
+// only — a trial must not read state a previous trial left behind — so
+// results stay bit-identical at any parallelism. sim.RunReplicated and the
+// Fig 7.1-7.3 fan-outs thread a sim.Scratch this way, so consecutive
+// simulator runs on a worker reuse one world's backing arrays.
 func MapScratch[T, S any](n int, seed int64, opts Options, newScratch func() S, f func(rng *rand.Rand, trial int, scratch S) T) []T {
 	out, err := MapScratchCtx(context.Background(), n, seed, opts, newScratch, f)
 	if err != nil {
@@ -473,7 +437,7 @@ type mapAccWire[T any] struct {
 	Vals []T
 }
 
-// MarshalBinary makes Map/MapScratch jobs checkpointable (see
+// MarshalBinary makes MapScratch jobs checkpointable (see
 // CheckpointConfig): a shard's trial results are gob-encoded, which
 // round-trips float64 values bit for bit. It fails — and the engine
 // simply skips checkpointing that shard — when T is not gob-encodable

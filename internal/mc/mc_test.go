@@ -117,13 +117,13 @@ func TestProgressMonotoneAndComplete(t *testing.T) {
 }
 
 func TestMapOrdersResultsByTrial(t *testing.T) {
-	want := Map(257, 3, Options{Parallelism: 1}, func(rng *rand.Rand, trial int) float64 {
+	noScratch := func() struct{} { return struct{}{} }
+	f := func(rng *rand.Rand, trial int, _ struct{}) float64 {
 		return float64(trial) + rng.Float64()
-	})
+	}
+	want := MapScratch(257, 3, Options{Parallelism: 1}, noScratch, f)
 	for _, par := range []int{4, runtime.NumCPU()} {
-		got := Map(257, 3, Options{Parallelism: par}, func(rng *rand.Rand, trial int) float64 {
-			return float64(trial) + rng.Float64()
-		})
+		got := MapScratch(257, 3, Options{Parallelism: par}, noScratch, f)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("par %d: trial %d = %v, want %v", par, i, got[i], want[i])
@@ -293,13 +293,19 @@ func TestRunPanicsOnBadJob(t *testing.T) {
 	}
 }
 
-// TestMapScratchMatchesMap pins MapScratch to Map: same trial order, same
-// results, one scratch per shard threaded through that shard's trials, at
-// any parallelism.
+// TestMapScratchMatchesMap pins MapScratch to a scratch-free map written
+// out over the shard streams: same trial order, same results, one scratch
+// per worker threaded through that worker's trials, at any parallelism.
 func TestMapScratchMatchesMap(t *testing.T) {
-	const n, seed = 103, int64(5)
+	const n, seed, shard = 103, int64(5), 8
 	f := func(rng *rand.Rand, trial int) float64 { return rng.Float64() + float64(trial) }
-	want := Map(n, seed, Options{Parallelism: 1, ShardSize: 8}, f)
+	want := make([]float64, n)
+	for s := 0; s*shard < n; s++ {
+		rng := rand.New(rand.NewSource(ShardSeed(seed, s)))
+		for trial := s * shard; trial < min(n, (s+1)*shard); trial++ {
+			want[trial] = f(rng, trial)
+		}
+	}
 	for _, par := range []int{1, 4, 0} {
 		var mu sync.Mutex
 		scratches := 0

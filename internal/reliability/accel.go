@@ -125,13 +125,6 @@ type SeriesStats struct {
 	FinalSketch *stats.QuantileSketch
 }
 
-// FaultyPageFractionStats is FaultyPageFractionStatsCtx under a
-// background context.
-func FaultyPageFractionStats(seed int64, opts mc.Options, rates faultmodel.Rates, shape faultmodel.ChannelShape,
-	ranks, devicesPerRank int, years, channels int, accel Accel) (*SeriesStats, error) {
-	return FaultyPageFractionStatsCtx(context.Background(), seed, opts, rates, shape, ranks, devicesPerRank, years, channels, accel)
-}
-
 // FaultyPageFractionStatsCtx is FaultyPageFractionCtx with streaming
 // statistics and optional rare-event acceleration: per-year mean with
 // 95% confidence interval, effective sample size, and (for plain
@@ -159,13 +152,6 @@ func FaultyPageFractionStatsBurstCtx(ctx context.Context, seed int64, opts mc.Op
 		func(arrivals []faultmodel.Arrival, series []float64) {
 			faultyPageSeries(arrivals, shape, years, series)
 		})
-}
-
-// LifetimeOverheadStats is LifetimeOverheadStatsCtx under a background
-// context.
-func LifetimeOverheadStats(seed int64, opts mc.Options, rates faultmodel.Rates, ranks, devicesPerRank int,
-	years, channels int, overhead OverheadByType, cap float64, accel Accel) (*SeriesStats, error) {
-	return LifetimeOverheadStatsCtx(context.Background(), seed, opts, rates, ranks, devicesPerRank, years, channels, overhead, cap, accel)
 }
 
 // LifetimeOverheadStatsCtx is LifetimeOverheadCtx with streaming

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -37,40 +38,44 @@ func TestParseAccel(t *testing.T) {
 }
 
 // TestStatsAccelNoneBitIdentical: with plain sampling the stats path must
-// reproduce the legacy functions bit for bit — same samplers, same series
-// math, same shard-ordered additions — at more than one parallelism.
+// reproduce the plain mean functions bit for bit — same samplers, same
+// series math, same shard-ordered additions — with and without correlated
+// bursts, at more than one parallelism.
 func TestStatsAccelNoneBitIdentical(t *testing.T) {
+	ctx := context.Background()
 	shape := faultmodel.ARCCChannelShape()
 	rates := faultmodel.FieldStudyRates().Scale(4)
 	ov := WorstCaseOverheads(shape, 2.0)
-	for _, par := range []int{1, 4} {
-		opts := mc.Options{Parallelism: par}
-		plainF := FaultyPageFraction(11, opts, rates, shape, 2, 36, 5, 700)
-		statsF, err := FaultyPageFractionStats(11, opts, rates, shape, 2, 36, 5, 700, Accel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plainO := LifetimeOverhead(12, opts, rates, 2, 36, 5, 700, ov, 1.0)
-		statsO, err := LifetimeOverheadStats(12, opts, rates, 2, 36, 5, 700, ov, 1.0, Accel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for y := 0; y < 5; y++ {
-			if math.Float64bits(statsF.Mean[y]) != math.Float64bits(plainF[y]) {
-				t.Fatalf("par %d year %d: faulty-fraction stats mean %v != plain %v", par, y+1, statsF.Mean[y], plainF[y])
+	for _, tc := range []struct {
+		name  string
+		burst faultmodel.Burst
+	}{
+		{"no burst", faultmodel.Burst{}},
+		{"row and bank bursts", faultmodel.Burst{RowProb: 0.8, RowMean: 6, RowMax: 24, BankProb: 0.5, BankMean: 4, BankMax: 16}},
+	} {
+		for _, par := range []int{1, 4} {
+			opts := mc.Options{Parallelism: par}
+			plainF := must(FaultyPageFractionBurstCtx(ctx, 11, opts, rates, tc.burst, shape, 2, 36, 5, 700))
+			statsF := must(FaultyPageFractionStatsBurstCtx(ctx, 11, opts, rates, tc.burst, shape, 2, 36, 5, 700, Accel{}))
+			plainO := must(LifetimeOverheadBurstCtx(ctx, 12, opts, rates, tc.burst, 2, 36, 5, 700, ov, 1.0))
+			statsO := must(LifetimeOverheadStatsBurstCtx(ctx, 12, opts, rates, tc.burst, 2, 36, 5, 700, ov, 1.0, Accel{}))
+			for y := 0; y < 5; y++ {
+				if math.Float64bits(statsF.Mean[y]) != math.Float64bits(plainF[y]) {
+					t.Fatalf("%s, par %d year %d: faulty-fraction stats mean %v != plain %v", tc.name, par, y+1, statsF.Mean[y], plainF[y])
+				}
+				if math.Float64bits(statsO.Mean[y]) != math.Float64bits(plainO[y]) {
+					t.Fatalf("%s, par %d year %d: overhead stats mean %v != plain %v", tc.name, par, y+1, statsO.Mean[y], plainO[y])
+				}
 			}
-			if math.Float64bits(statsO.Mean[y]) != math.Float64bits(plainO[y]) {
-				t.Fatalf("par %d year %d: overhead stats mean %v != plain %v", par, y+1, statsO.Mean[y], plainO[y])
+			if statsO.FinalSketch == nil || statsO.FinalSketch.N != 700 {
+				t.Fatalf("%s: plain-sampling run should sketch the final year", tc.name)
 			}
-		}
-		if statsO.FinalSketch == nil || statsO.FinalSketch.N != 700 {
-			t.Fatal("plain-sampling run should sketch the final year")
-		}
-		if math.Abs(statsO.ESS-700) > 1e-6 {
-			t.Fatalf("unit-weight ESS = %v, want 700", statsO.ESS)
-		}
-		if statsO.CI95[4] <= 0 {
-			t.Fatal("final-year CI should be positive")
+			if math.Abs(statsO.ESS-700) > 1e-6 {
+				t.Fatalf("%s: unit-weight ESS = %v, want 700", tc.name, statsO.ESS)
+			}
+			if statsO.CI95[4] <= 0 {
+				t.Fatalf("%s: final-year CI should be positive", tc.name)
+			}
 		}
 	}
 }
@@ -82,12 +87,12 @@ func TestStatsAccelDeterministicAcrossParallelism(t *testing.T) {
 	ov := WorstCaseOverheads(shape, 2.0)
 	rates := faultmodel.FieldStudyRates()
 	for _, accel := range []Accel{{Mode: AccelConditional}, {Mode: AccelTilted, Tilt: 8}} {
-		base, err := LifetimeOverheadStats(21, mc.Options{Parallelism: 1}, rates, 2, 36, 5, 900, ov, 1.0, accel)
+		base, err := LifetimeOverheadStatsCtx(context.Background(), 21, mc.Options{Parallelism: 1}, rates, 2, 36, 5, 900, ov, 1.0, accel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{4, runtime.GOMAXPROCS(0)} {
-			got, err := LifetimeOverheadStats(21, mc.Options{Parallelism: par}, rates, 2, 36, 5, 900, ov, 1.0, accel)
+			got, err := LifetimeOverheadStatsCtx(context.Background(), 21, mc.Options{Parallelism: par}, rates, 2, 36, 5, 900, ov, 1.0, accel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,12 +109,12 @@ func TestStatsAccelEquivalence(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 2.0)
 	rates := faultmodel.FieldStudyRates()
-	plain, err := LifetimeOverheadStats(31, mc.Options{}, rates, 2, 18, 7, 20000, ov, 3.0, Accel{})
+	plain, err := LifetimeOverheadStatsCtx(context.Background(), 31, mc.Options{}, rates, 2, 18, 7, 20000, ov, 3.0, Accel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, accel := range []Accel{{Mode: AccelConditional}, {Mode: AccelTilted, Tilt: 4}} {
-		acc, err := LifetimeOverheadStats(32, mc.Options{}, rates, 2, 18, 7, 20000, ov, 3.0, accel)
+		acc, err := LifetimeOverheadStatsCtx(context.Background(), 32, mc.Options{}, rates, 2, 18, 7, 20000, ov, 3.0, accel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +142,11 @@ func TestConditionalVarianceReduction(t *testing.T) {
 	ov := WorstCaseOverheads(shape, 2.0)
 	rates := faultmodel.FieldStudyRates().Scale(0.05) // P(any fault in 7y) ~ 0.7%
 	const channels = 4000
-	plain, err := LifetimeOverheadStats(41, mc.Options{}, rates, 2, 18, 7, channels, ov, 3.0, Accel{})
+	plain, err := LifetimeOverheadStatsCtx(context.Background(), 41, mc.Options{}, rates, 2, 18, 7, channels, ov, 3.0, Accel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond, err := LifetimeOverheadStats(42, mc.Options{}, rates, 2, 18, 7, channels, ov, 3.0, Accel{Mode: AccelConditional})
+	cond, err := LifetimeOverheadStatsCtx(context.Background(), 42, mc.Options{}, rates, 2, 18, 7, channels, ov, 3.0, Accel{Mode: AccelConditional})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +164,7 @@ func TestConditionalVarianceReduction(t *testing.T) {
 
 func TestConditionalZeroRateIsError(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
-	_, err := FaultyPageFractionStats(1, mc.Options{}, faultmodel.Rates{}, shape, 2, 36, 5, 100, Accel{Mode: AccelConditional})
+	_, err := FaultyPageFractionStatsCtx(context.Background(), 1, mc.Options{}, faultmodel.Rates{}, shape, 2, 36, 5, 100, Accel{Mode: AccelConditional})
 	if err == nil {
 		t.Fatal("conditioning on an impossible event should be an error")
 	}
@@ -188,7 +193,7 @@ func BenchmarkLifetimeOverheadStatsConditional(b *testing.B) {
 	rates := faultmodel.FieldStudyRates().Scale(0.05)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := LifetimeOverheadStats(1, mc.Options{Parallelism: 1}, rates, 2, 18, 7, 2000, ov, 3.0, Accel{Mode: AccelConditional}); err != nil {
+		if _, err := LifetimeOverheadStatsCtx(context.Background(), 1, mc.Options{Parallelism: 1}, rates, 2, 18, 7, 2000, ov, 3.0, Accel{Mode: AccelConditional}); err != nil {
 			b.Fatal(err)
 		}
 	}

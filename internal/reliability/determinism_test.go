@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -23,14 +24,14 @@ func TestReliabilityDeterministicAcrossParallelism(t *testing.T) {
 		name string
 		run  func(opts mc.Options) []float64
 	}{
-		{"FaultyPageFraction", func(opts mc.Options) []float64 {
-			return FaultyPageFraction(11, opts, rates, shape, 2, 36, 5, 700)
+		{"FaultyPageFractionCtx", func(opts mc.Options) []float64 {
+			return must(FaultyPageFractionCtx(context.Background(), 11, opts, rates, shape, 2, 36, 5, 700))
 		}},
-		{"LifetimeOverhead", func(opts mc.Options) []float64 {
-			return LifetimeOverhead(12, opts, rates, 2, 36, 5, 700, ov, 1.0)
+		{"LifetimeOverheadCtx", func(opts mc.Options) []float64 {
+			return must(LifetimeOverheadCtx(context.Background(), 12, opts, rates, 2, 36, 5, 700, ov, 1.0))
 		}},
-		{"SimulateARCCDED", func(opts mc.Options) []float64 {
-			return []float64{float64(SimulateARCCDED(13, opts, inflated, 700))}
+		{"SimulateARCCDEDCtx", func(opts mc.Options) []float64 {
+			return []float64{float64(must(SimulateARCCDEDCtx(context.Background(), 13, opts, inflated, 700)))}
 		}},
 	}
 	parallelisms := []int{1, 4, runtime.NumCPU()}
@@ -54,7 +55,7 @@ func benchOverheadRun(opts mc.Options) []float64 {
 	shape := faultmodel.ARCCChannelShape()
 	rates := faultmodel.FieldStudyRates().Scale(4)
 	ov := WorstCaseOverheads(shape, 2)
-	return LifetimeOverhead(1, opts, rates, 2, 36, 7, 20000, ov, 1.0)
+	return must(LifetimeOverheadCtx(context.Background(), 1, opts, rates, 2, 36, 7, 20000, ov, 1.0))
 }
 
 func BenchmarkLifetimeOverheadSerial(b *testing.B) {

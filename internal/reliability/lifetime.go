@@ -133,25 +133,14 @@ func overheadSeries(arrivals []faultmodel.Arrival, overhead OverheadByType, cap 
 	}
 }
 
-// FaultyPageFraction reproduces Fig 3.1: the average fraction of a
+// FaultyPageFractionCtx reproduces Fig 3.1: the average fraction of a
 // channel's 4 KB pages that has been affected by at least one fault, as a
 // function of operational lifespan, under the worst-case assumption that
 // every location under faulty circuitry is corrupted. It Monte Carlo
 // averages over channels — sharded across workers per opts, bit-identical
 // at any parallelism for a given seed — and returns one value per year
-// 1..years.
-func FaultyPageFraction(seed int64, opts mc.Options, rates faultmodel.Rates, shape faultmodel.ChannelShape,
-	ranks, devicesPerRank int, years, channels int) []float64 {
-	out, err := FaultyPageFractionCtx(context.Background(), seed, opts, rates, shape, ranks, devicesPerRank, years, channels)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return out
-}
-
-// FaultyPageFractionCtx is FaultyPageFraction under a context: a
-// cancelled context returns (nil, mc.ErrCanceled) within one shard
-// boundary instead of completing the fan-out.
+// 1..years. A cancelled context returns (nil, mc.ErrCanceled) within one
+// shard boundary instead of completing the fan-out.
 func FaultyPageFractionCtx(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, shape faultmodel.ChannelShape,
 	ranks, devicesPerRank int, years, channels int) ([]float64, error) {
 	return FaultyPageFractionBurstCtx(ctx, seed, opts, rates, faultmodel.Burst{}, shape, ranks, devicesPerRank, years, channels)
@@ -166,34 +155,10 @@ func FaultyPageFractionBurstCtx(ctx context.Context, seed int64, opts mc.Options
 	if years <= 0 || channels <= 0 {
 		panic("reliability: invalid years/channels")
 	}
-	if err := burst.Validate(); err != nil {
-		return nil, err
-	}
-	acc, err := mc.RunCtx(ctx, mc.Job{
-		Trials:     channels,
-		Seed:       seed,
-		NewAcc:     newYearSums(years),
-		NewScratch: newArrivalScratch(rates, ranks, devicesPerRank, float64(years), burst.CapHintFactor()),
-		TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
-			sums := a.(*yearSums).sums
-			scratch := sc.(*arrivalScratch)
-			arrivals := faultmodel.SampleArrivalsInto(rng, scratch.buf, rates, ranks, devicesPerRank, float64(years))
-			arrivals = burst.ExpandInto(rng, arrivals)
-			scratch.buf = arrivals
-			faultyPageSeries(arrivals, shape, years, scratch.series)
-			for i, v := range scratch.series {
-				sums[i] += v
-			}
-		},
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	sums := acc.(*yearSums).sums
-	for i := range sums {
-		sums[i] /= float64(channels)
-	}
-	return sums, nil
+	return runSeriesMean(ctx, seed, opts, rates, burst, ranks, devicesPerRank, years, channels,
+		func(arrivals []faultmodel.Arrival, series []float64) {
+			faultyPageSeries(arrivals, shape, years, series)
+		})
 }
 
 // OverheadByType maps the large-span fault types to the overhead (power
@@ -202,25 +167,15 @@ func FaultyPageFractionBurstCtx(ctx context.Context, seed int64, opts mc.Options
 // Figs 7.2/7.3 feed in here.
 type OverheadByType map[faultmodel.Type]float64
 
-// LifetimeOverhead reproduces the Fig 7.4/7.5 methodology: Monte Carlo over
-// channels channels, each accumulating the overhead of every fault from its
-// arrival time onward (additive per fault, capped at cap — the overhead of
-// a fully-upgraded memory). For each year X it reports the overhead
-// time-averaged from power-on through the end of year X, averaged over
-// channels. Channels are sharded across workers per opts; the result is
-// bit-identical at any parallelism for a given seed.
-func LifetimeOverhead(seed int64, opts mc.Options, rates faultmodel.Rates, ranks, devicesPerRank int,
-	years, channels int, overhead OverheadByType, cap float64) []float64 {
-	out, err := LifetimeOverheadCtx(context.Background(), seed, opts, rates, ranks, devicesPerRank, years, channels, overhead, cap)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return out
-}
-
-// LifetimeOverheadCtx is LifetimeOverhead under a context: a cancelled
-// context returns (nil, mc.ErrCanceled) within one shard boundary instead
-// of completing the fan-out.
+// LifetimeOverheadCtx reproduces the Fig 7.4/7.5 methodology: Monte
+// Carlo over channels channels, each accumulating the overhead of every
+// fault from its arrival time onward (additive per fault, capped at cap —
+// the overhead of a fully-upgraded memory). For each year X it reports the
+// overhead time-averaged from power-on through the end of year X,
+// averaged over channels. Channels are sharded across workers per opts;
+// the result is bit-identical at any parallelism for a given seed. A
+// cancelled context returns (nil, mc.ErrCanceled) within one shard
+// boundary instead of completing the fan-out.
 func LifetimeOverheadCtx(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, ranks, devicesPerRank int,
 	years, channels int, overhead OverheadByType, cap float64) ([]float64, error) {
 	return LifetimeOverheadBurstCtx(ctx, seed, opts, rates, faultmodel.Burst{}, ranks, devicesPerRank, years, channels, overhead, cap)
@@ -235,6 +190,19 @@ func LifetimeOverheadBurstCtx(ctx context.Context, seed int64, opts mc.Options, 
 	if years <= 0 || channels <= 0 || cap <= 0 {
 		panic(fmt.Sprintf("reliability: invalid lifetime-overhead arguments (years=%d channels=%d cap=%v)", years, channels, cap))
 	}
+	return runSeriesMean(ctx, seed, opts, rates, burst, ranks, devicesPerRank, years, channels,
+		func(arrivals []faultmodel.Arrival, series []float64) {
+			overheadSeries(arrivals, overhead, cap, years, series)
+		})
+}
+
+// runSeriesMean runs one plain lifetime Monte Carlo, the unweighted
+// counterpart of runSeriesStats: trials draw an arrival history, expand
+// it under the burst model, evaluate the per-year series, and add it to
+// the shard's per-year sums; the merged sums are divided by the channel
+// count.
+func runSeriesMean(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, burst faultmodel.Burst,
+	ranks, devicesPerRank int, years, channels int, series func(arrivals []faultmodel.Arrival, series []float64)) ([]float64, error) {
 	if err := burst.Validate(); err != nil {
 		return nil, err
 	}
@@ -249,7 +217,7 @@ func LifetimeOverheadBurstCtx(ctx context.Context, seed int64, opts mc.Options, 
 			arrivals := faultmodel.SampleArrivalsInto(rng, scratch.buf, rates, ranks, devicesPerRank, float64(years))
 			arrivals = burst.ExpandInto(rng, arrivals)
 			scratch.buf = arrivals
-			overheadSeries(arrivals, overhead, cap, years, scratch.series)
+			series(arrivals, scratch.series)
 			for i, v := range scratch.series {
 				sums[i] += v
 			}

@@ -1,12 +1,22 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"arcc/internal/faultmodel"
 	"arcc/internal/mc"
 )
+
+// must unwraps a Monte Carlo result run under a context that never
+// cancels, so any error is a test failure.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func TestOverlapProbBasics(t *testing.T) {
 	g := DefaultRankGeom()
@@ -108,7 +118,7 @@ func TestMonteCarloValidatesAnalyticModel(t *testing.T) {
 	p.LifeYears = 1
 	want := ARCCDEDExpectedSDCs(p)
 	const channels = 3000
-	got := float64(SimulateARCCDED(42, mc.Options{}, p, channels)) / channels
+	got := float64(must(SimulateARCCDEDCtx(context.Background(), 42, mc.Options{}, p, channels))) / channels
 	if want <= 0 {
 		t.Fatal("analytic expectation not positive")
 	}
@@ -134,7 +144,7 @@ func TestFaultyPageFractionShape(t *testing.T) {
 	// Fig 3.1: a few percent at most through year 7 at 1x rates, growing
 	// with time and with the rate factor.
 	shape := faultmodel.ARCCChannelShape()
-	f1 := FaultyPageFraction(1, mc.Options{}, faultmodel.FieldStudyRates(), shape, 2, 36, 7, 4000)
+	f1 := must(FaultyPageFractionCtx(context.Background(), 1, mc.Options{}, faultmodel.FieldStudyRates(), shape, 2, 36, 7, 4000))
 	if len(f1) != 7 {
 		t.Fatalf("got %d years", len(f1))
 	}
@@ -146,7 +156,7 @@ func TestFaultyPageFractionShape(t *testing.T) {
 	if f1[6] <= 0 || f1[6] > 0.10 {
 		t.Fatalf("year-7 faulty fraction %v, want (0, 0.10] — 'just a few percent'", f1[6])
 	}
-	f4 := FaultyPageFraction(2, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), shape, 2, 36, 7, 4000)
+	f4 := must(FaultyPageFractionCtx(context.Background(), 2, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), shape, 2, 36, 7, 4000))
 	if f4[6] <= f1[6] {
 		t.Fatal("4x rates must raise the faulty fraction")
 	}
@@ -160,7 +170,7 @@ func TestLifetimeOverheadShape(t *testing.T) {
 	// years, and bounded by the cap.
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 2) // power doubles on upgraded pages
-	got := LifetimeOverhead(2, mc.Options{}, faultmodel.FieldStudyRates(), 2, 36, 7, 4000, ov, 1.0)
+	got := must(LifetimeOverheadCtx(context.Background(), 2, mc.Options{}, faultmodel.FieldStudyRates(), 2, 36, 7, 4000, ov, 1.0))
 	for y := 1; y < 7; y++ {
 		if got[y] < got[y-1]-1e-12 {
 			t.Fatalf("lifetime overhead not monotone at year %d: %v < %v", y+1, got[y], got[y-1])
@@ -173,7 +183,7 @@ func TestLifetimeOverheadShape(t *testing.T) {
 
 func TestLifetimeOverheadRespectsCap(t *testing.T) {
 	ov := OverheadByType{faultmodel.Device: 10} // absurd per-fault overhead
-	got := LifetimeOverhead(3, mc.Options{}, faultmodel.FieldStudyRates().Scale(1000), 2, 36, 3, 200, ov, 0.5)
+	got := must(LifetimeOverheadCtx(context.Background(), 3, mc.Options{}, faultmodel.FieldStudyRates().Scale(1000), 2, 36, 3, 200, ov, 0.5))
 	for _, v := range got {
 		if v > 0.5+1e-9 {
 			t.Fatalf("overhead %v exceeds cap 0.5", v)
@@ -202,8 +212,8 @@ func TestARCCLOTECCLifetimeOverheadMatchesPaperMagnitude(t *testing.T) {
 	// than ~6.3% at 4x. Generous bands around those anchors.
 	shape := faultmodel.ARCCChannelShape()
 	ov := WorstCaseOverheads(shape, 4)
-	at1 := LifetimeOverhead(4, mc.Options{}, faultmodel.FieldStudyRates(), 2, 18, 7, 6000, ov, 3.0)
-	at4 := LifetimeOverhead(5, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), 2, 18, 7, 6000, ov, 3.0)
+	at1 := must(LifetimeOverheadCtx(context.Background(), 4, mc.Options{}, faultmodel.FieldStudyRates(), 2, 18, 7, 6000, ov, 3.0))
+	at4 := must(LifetimeOverheadCtx(context.Background(), 5, mc.Options{}, faultmodel.FieldStudyRates().Scale(4), 2, 18, 7, 6000, ov, 3.0))
 	if at1[6] <= 0.001 || at1[6] > 0.05 {
 		t.Fatalf("1x 7-year overhead %v, want around the paper's 1.6%%", at1[6])
 	}
@@ -215,12 +225,16 @@ func TestARCCLOTECCLifetimeOverheadMatchesPaperMagnitude(t *testing.T) {
 func TestPanicsOnBadArguments(t *testing.T) {
 	shape := faultmodel.ARCCChannelShape()
 	for name, f := range map[string]func(){
-		"bad geom":      func() { RankGeom{}.OverlapProb(faultmodel.Bit, faultmodel.Bit) },
-		"bad ranks":     func() { DefaultRankGeom().PairThreatProb(faultmodel.Bit, faultmodel.Bit, 0) },
-		"bad params":    func() { ARCCDEDExpectedSDCs(Params{}) },
-		"bad channels":  func() { SimulateARCCDED(5, mc.Options{}, DefaultParams(), 0) },
-		"bad years":     func() { FaultyPageFraction(5, mc.Options{}, faultmodel.FieldStudyRates(), shape, 2, 36, 0, 1) },
-		"bad cap":       func() { LifetimeOverhead(5, mc.Options{}, faultmodel.FieldStudyRates(), 2, 36, 1, 1, nil, 0) },
+		"bad geom":     func() { RankGeom{}.OverlapProb(faultmodel.Bit, faultmodel.Bit) },
+		"bad ranks":    func() { DefaultRankGeom().PairThreatProb(faultmodel.Bit, faultmodel.Bit, 0) },
+		"bad params":   func() { ARCCDEDExpectedSDCs(Params{}) },
+		"bad channels": func() { must(SimulateARCCDEDCtx(context.Background(), 5, mc.Options{}, DefaultParams(), 0)) },
+		"bad years": func() {
+			must(FaultyPageFractionCtx(context.Background(), 5, mc.Options{}, faultmodel.FieldStudyRates(), shape, 2, 36, 0, 1))
+		},
+		"bad cap": func() {
+			must(LifetimeOverheadCtx(context.Background(), 5, mc.Options{}, faultmodel.FieldStudyRates(), 2, 36, 1, 1, nil, 0))
+		},
 		"worst-case <1": func() { WorstCaseOverheads(shape, 0.5) },
 	} {
 		func() {

@@ -153,23 +153,14 @@ func (a *eventCount) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// SimulateARCCDED runs the event-level Monte Carlo for the ARCC DED model:
-// it draws fault histories for channels channels and counts how many
-// undetected double-fault events occur (second threat fault landing before
-// the scrub that would have detected the first). It exists to validate the
-// closed-form model, exactly as the paper validates its analytic models
-// with Monte Carlo; run it at inflated rates to see events at all.
-// Channels are sharded across workers per opts with one RNG stream per
-// shard, so the count is reproducible at any parallelism.
-func SimulateARCCDED(seed int64, opts mc.Options, p Params, channels int) int {
-	n, err := SimulateARCCDEDCtx(context.Background(), seed, opts, p, channels)
-	if err != nil {
-		panic(err) // a background context never cancels
-	}
-	return n
-}
-
-// SimulateARCCDEDCtx is SimulateARCCDED under a context: a cancelled
+// SimulateARCCDEDCtx runs the event-level Monte Carlo for the ARCC DED
+// model: it draws fault histories for channels channels and counts how
+// many undetected double-fault events occur (second threat fault landing
+// before the scrub that would have detected the first). It exists to
+// validate the closed-form model, exactly as the paper validates its
+// analytic models with Monte Carlo; run it at inflated rates to see events
+// at all. Channels are sharded across workers per opts with one RNG stream
+// per shard, so the count is reproducible at any parallelism. A cancelled
 // context returns (0, mc.ErrCanceled) within one shard boundary.
 func SimulateARCCDEDCtx(ctx context.Context, seed int64, opts mc.Options, p Params, channels int) (int, error) {
 	p.validate()

@@ -14,7 +14,7 @@ func batchCodes() []*Code {
 }
 
 // buildBatch returns count random valid codewords, flat at the given
-// stride, plus the same codewords as slices. Gap bytes between codewords
+// stride, plus slices aliasing each codeword in the flat buffer. Gap bytes between codewords
 // are filled with junk to catch kernels that read past N.
 func buildBatch(r *rand.Rand, c *Code, count, stride int) (flat []byte, cws [][]byte) {
 	flat = make([]byte, count*stride+7) // +junk tail beyond the last codeword
@@ -36,38 +36,9 @@ func corruptLanes(r *rand.Rand, cw []byte, nbad int) {
 	}
 }
 
-func TestEncodeBatchMatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, c := range batchCodes() {
-		for _, count := range []int{0, 1, 2, 7, 8, 9, 16, 23} {
-			stride := c.N() + r.Intn(3)
-			flat, cws := buildBatch(r, c, count, stride)
-			// Scramble the check symbols, then batch-encode both forms.
-			want := make([][]byte, count)
-			for i, cw := range cws {
-				r.Read(cw[c.K():])
-				want[i] = append([]byte(nil), cw...)
-				c.EncodeInto(want[i])
-			}
-			c.EncodeBatchFlat(flat, stride, count)
-			for i, cw := range cws {
-				if !bytes.Equal(cw, want[i]) {
-					t.Fatalf("(%d,%d) EncodeBatchFlat count=%d stride=%d: codeword %d mismatch", c.N(), c.K(), count, stride, i)
-				}
-			}
-			for i := range cws {
-				r.Read(cws[i][c.K():])
-			}
-			c.EncodeBatch(cws)
-			for i, cw := range cws {
-				if !bytes.Equal(cw, want[i]) {
-					t.Fatalf("(%d,%d) EncodeBatch count=%d: codeword %d mismatch", c.N(), c.K(), count, i)
-				}
-			}
-		}
-	}
-}
-
+// TestSyndromesAndCheckBatchMatchScalar pins the word-parallel syndrome
+// kernel behind the batch decoders to the scalar SyndromesInto, lane by
+// lane, and its dirty word to the per-lane all-zero check.
 func TestSyndromesAndCheckBatchMatchScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, c := range batchCodes() {
@@ -81,30 +52,26 @@ func TestSyndromesAndCheckBatchMatchScalar(t *testing.T) {
 					corruptLanes(r, cws[i], 1+r.Intn(3))
 				}
 			}
-			want := make([]byte, count*nk)
-			allClean := true
-			for i, cw := range cws {
-				c.SyndromesInto(cw, want[i*nk:(i+1)*nk])
-				allClean = allClean && allZero(want[i*nk:(i+1)*nk])
-			}
-
-			got := make([]byte, count*nk)
-			c.SyndromesBatchFlat(flat, stride, count, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("(%d,%d) SyndromesBatchFlat count=%d stride=%d mismatch:\n got %x\nwant %x", c.N(), c.K(), count, stride, got, want)
-			}
-			for i := range got {
-				got[i] = 0
-			}
-			c.SyndromesBatch(cws, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("(%d,%d) SyndromesBatch count=%d mismatch", c.N(), c.K(), count)
-			}
-			if g := c.CheckBatchFlat(flat, stride, count); g != allClean {
-				t.Fatalf("(%d,%d) CheckBatchFlat = %v, want %v", c.N(), c.K(), g, allClean)
-			}
-			if g := c.CheckBatch(cws); g != allClean {
-				t.Fatalf("(%d,%d) CheckBatch = %v, want %v", c.N(), c.K(), g, allClean)
+			want := make([]byte, nk)
+			sw := make([]uint64, nk)
+			for base := 0; base < count; base += 8 {
+				lanes := min(8, count-base)
+				dirty := c.synWords(flat[base*stride:], stride, lanes, sw)
+				for l := 0; l < lanes; l++ {
+					c.SyndromesInto(cws[base+l], want)
+					for i := range want {
+						if got := byte(sw[i] >> (8 * l)); got != want[i] {
+							t.Fatalf("(%d,%d) count=%d stride=%d codeword %d: syndrome %d = %#x, want %#x",
+								c.N(), c.K(), count, stride, base+l, i, got, want[i])
+						}
+					}
+					if clean := byte(dirty>>(8*l)) == 0; clean != allZero(want) {
+						t.Fatalf("(%d,%d) codeword %d: batch clean = %v, scalar clean = %v", c.N(), c.K(), base+l, clean, allZero(want))
+					}
+				}
+				if lanes < 8 && dirty>>(8*lanes) != 0 {
+					t.Fatalf("(%d,%d) count=%d: lanes past the batch reported dirty", c.N(), c.K(), count)
+				}
 			}
 		}
 	}
@@ -162,21 +129,6 @@ func TestDecodeBatchMatchesScalar(t *testing.T) {
 				for i, cw := range cws {
 					if !bytes.Equal(cw, wantOut[i]) {
 						t.Fatalf("(%d,%d) DecodeBatchFlat count=%d: codeword %d content mismatch", c.N(), c.K(), count, i)
-					}
-				}
-
-				// Slice form on a fresh copy of the same batch.
-				copies := make([][]byte, count)
-				for i := range snapshot {
-					copies[i] = append([]byte(nil), snapshot[i]...)
-				}
-				gotRes = c.DecodeBatch(copies, maxFix, s)
-				if gotRes.Corrected != wantRes.Corrected || !equalInts(gotRes.Bad, wantRes.Bad) {
-					t.Fatalf("(%d,%d) DecodeBatch count=%d: result %+v, want %+v", c.N(), c.K(), count, gotRes, wantRes)
-				}
-				for i := range copies {
-					if !bytes.Equal(copies[i], wantOut[i]) {
-						t.Fatalf("(%d,%d) DecodeBatch count=%d: codeword %d content mismatch", c.N(), c.K(), count, i)
 					}
 				}
 			}
@@ -248,9 +200,9 @@ func TestDecodeErasuresFastPathMatchesErrors(t *testing.T) {
 	}
 }
 
-// TestBatchAllocs pins the zero-allocation contract of every batch API,
-// clean and dirty, after a single warm-up call (the Bad buffer may grow
-// once).
+// TestBatchAllocs pins the zero-allocation contract of both batch
+// decoders, clean and dirty, after a single warm-up call (the Bad buffer
+// may grow once).
 func TestBatchAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	c := New(36, 32)
@@ -260,7 +212,7 @@ func TestBatchAllocs(t *testing.T) {
 	corruptLanes(r, cws[9], c.CheckSymbols()+2) // a DUE lane
 	pristine := append([]byte(nil), flat...)
 	s := c.NewScratch()
-	syn := make([]byte, count*c.CheckSymbols())
+	erasures := []int{5}
 
 	c.DecodeBatchFlat(flat, c.N(), count, c.MaxCorrectable(), s) // warm up s.bad
 	copy(flat, pristine)
@@ -269,19 +221,13 @@ func TestBatchAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"EncodeBatchFlat", func() { c.EncodeBatchFlat(flat, c.N(), count) }},
-		{"EncodeBatch", func() { c.EncodeBatch(cws) }},
-		{"SyndromesBatchFlat", func() { c.SyndromesBatchFlat(flat, c.N(), count, syn) }},
-		{"SyndromesBatch", func() { c.SyndromesBatch(cws, syn) }},
-		{"CheckBatchFlat", func() { _ = c.CheckBatchFlat(flat, c.N(), count) }},
-		{"CheckBatch", func() { _ = c.CheckBatch(cws) }},
 		{"DecodeBatchFlat", func() {
 			copy(flat, pristine)
 			c.DecodeBatchFlat(flat, c.N(), count, c.MaxCorrectable(), s)
 		}},
-		{"DecodeBatch", func() {
+		{"DecodeErrorsErasuresBatchFlat", func() {
 			copy(flat, pristine)
-			c.DecodeBatch(cws, c.MaxCorrectable(), s)
+			c.DecodeErrorsErasuresBatchFlat(flat, c.N(), count, erasures, 1, s)
 		}},
 	}
 	for _, tc := range cases {

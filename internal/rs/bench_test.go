@@ -89,7 +89,7 @@ func BenchmarkDecode2Err(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(cw); err != nil {
+		if _, err := c.DecodeBounded(cw, c.MaxCorrectable()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,45 +116,6 @@ func benchBatch(b *testing.B, c *Code, lanes int, flips map[int][]int) []byte {
 		}
 	}
 	return buf
-}
-
-func BenchmarkEncodeBatch(b *testing.B) {
-	c := New(36, 32)
-	const lanes = 8
-	buf := benchBatch(b, c, lanes, nil)
-	b.SetBytes(int64(c.N()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
-		c.EncodeBatchFlat(buf, c.N(), lanes)
-	}
-}
-
-func BenchmarkSyndromesBatch(b *testing.B) {
-	c := New(36, 32)
-	const lanes = 8
-	buf := benchBatch(b, c, lanes, nil)
-	syn := make([]byte, lanes*c.CheckSymbols())
-	b.SetBytes(int64(c.N()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
-		c.SyndromesBatchFlat(buf, c.N(), lanes, syn)
-	}
-}
-
-func BenchmarkCheckBatch(b *testing.B) {
-	c := New(36, 32)
-	const lanes = 8
-	buf := benchBatch(b, c, lanes, nil)
-	b.SetBytes(int64(c.N()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
-		if !c.CheckBatchFlat(buf, c.N(), lanes) {
-			b.Fatal("clean batch reported dirty")
-		}
-	}
 }
 
 func benchmarkDecodeBatch(b *testing.B, lanes int, flips map[int][]int) {

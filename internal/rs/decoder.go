@@ -3,8 +3,7 @@ package rs
 // Result reports the outcome of a successful decode.
 type Result struct {
 	// Corrected is the repaired codeword. The allocating entry points
-	// (Decode, DecodeBounded, DecodeErasures, DecodeErrorsErasures) return
-	// a fresh slice, even when no correction was needed; the Scratch entry
+	// (DecodeBounded, DecodeErrorsErasures) return a fresh slice, even when no correction was needed; the Scratch entry
 	// points return a slice aliasing the workspace.
 	Corrected []byte
 	// ErrorPositions lists the codeword positions (0-based, data-first) at
@@ -26,13 +25,6 @@ func (r Result) detach() Result {
 	return r
 }
 
-// Decode corrects up to MaxCorrectable symbol errors in cw. It returns
-// ErrUncorrectable when the error pattern is detected but exceeds the
-// correction capability. The input is not modified.
-func (c *Code) Decode(cw []byte) (Result, error) {
-	return c.DecodeBounded(cw, c.MaxCorrectable())
-}
-
 // DecodeBounded corrects at most maxErrors symbol errors (which must not
 // exceed MaxCorrectable). Memory controllers use the bound to implement
 // policy: commercial SCCDCD decodes its 4-check-symbol code with a bound of
@@ -48,14 +40,6 @@ func (c *Code) DecodeBounded(cw []byte, maxErrors int) (Result, error) {
 	res = res.detach()
 	c.scratch.Put(s)
 	return res, err
-}
-
-// DecodeErasures corrects symbols at the given known-bad positions
-// (erasures). Up to N-K erasures can be repaired. Double chip sparing uses
-// this path once a failed device has been identified: the device's symbol
-// position is erased and reconstructed. The input is not modified.
-func (c *Code) DecodeErasures(cw []byte, erasures []int) (Result, error) {
-	return c.DecodeErrorsErasures(cw, erasures, 0)
 }
 
 // DecodeErrorsErasures corrects the erased positions and additionally up to

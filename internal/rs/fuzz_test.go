@@ -60,7 +60,7 @@ func FuzzRSRoundTrip(f *testing.F) {
 			e := rng.Intn(code.MaxCorrectable() + 1)
 			cw := append([]byte(nil), clean...)
 			want := corrupt(rng, cw, e)
-			res, err := code.Decode(cw)
+			res, err := code.DecodeBounded(cw, code.MaxCorrectable())
 			if err != nil {
 				t.Fatalf("(%d,%d): %d <= t errors not corrected: %v", code.N(), code.K(), e, err)
 			}
@@ -94,7 +94,7 @@ func FuzzRSRoundTrip(f *testing.F) {
 			ne := 1 + rng.Intn(code.CheckSymbols())
 			cw3 := append([]byte(nil), clean...)
 			erased := corrupt(rng, cw3, ne)
-			res3, err := code.DecodeErasures(cw3, erased)
+			res3, err := code.DecodeErrorsErasures(cw3, erased, 0)
 			if err != nil || !bytes.Equal(res3.Corrected, clean) {
 				t.Fatalf("(%d,%d): %d erasures not reconstructed: %v", code.N(), code.K(), ne, err)
 			}
@@ -117,7 +117,7 @@ func TestRSCorruptionPropertyTable(t *testing.T) {
 			for e := 0; e <= code.MaxCorrectable(); e++ {
 				cw := append([]byte(nil), clean...)
 				corrupt(rng, cw, e)
-				res, err := code.Decode(cw)
+				res, err := code.DecodeBounded(cw, code.MaxCorrectable())
 				if err != nil || !bytes.Equal(res.Corrected, clean) {
 					t.Fatalf("(%d,%d) trial %d: %d errors not corrected (%v)", code.N(), code.K(), trial, e, err)
 				}

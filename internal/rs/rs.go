@@ -7,10 +7,12 @@
 //
 //   - Code{N, K} describes an (N, K) code with N-K check symbols.
 //   - Encode appends check symbols to K data symbols.
-//   - Decode corrects up to floor((N-K)/2) symbol errors and reports
-//     detected-but-uncorrectable patterns.
-//   - DecodeErasures corrects up to N-K erasures at known positions
-//     (used by double chip sparing once a failed device is identified).
+//   - DecodeBounded corrects up to a chosen bound of at most
+//     floor((N-K)/2) symbol errors and reports detected-but-uncorrectable
+//     patterns.
+//   - DecodeErrorsErasures additionally corrects erasures at known
+//     positions (used by double chip sparing once a failed device is
+//     identified).
 //
 // The configurations used by the ARCC evaluation are (18, 16) for relaxed
 // pages (2 check symbols: single symbol correct OR single symbol detect,
@@ -20,18 +22,18 @@
 // The hot path is allocation-free: New precomputes multiplication-table
 // rows for the generator coefficients, the syndrome evaluation points, and
 // the Chien stepping constants, and a reusable Scratch workspace (see
-// NewScratch/DecodeScratch) holds every buffer a decode needs. The plain
-// Decode/DecodeErasures entry points are thin wrappers that borrow a
-// pooled Scratch and copy the result out.
+// NewScratch/DecodeScratch) holds every buffer a decode needs. The
+// DecodeBounded/DecodeErrorsErasures entry points are thin wrappers that
+// borrow a pooled Scratch and copy the result out.
 //
 // When several codewords of the same code decode together — the memory
-// controller's burst path, every exhibit's trial loop — the batch entry
-// points (EncodeBatch, SyndromesBatch, CheckBatch, DecodeBatch, and their
-// flat-stride *Flat forms; see batch.go) run the syndrome and encode
-// recurrences word-parallel on package gf's bit-sliced kernels, eight
-// codewords at a time. The all-clean batch is verified without running
-// the scalar decoder at all; only lanes with nonzero syndromes fall back
-// to DecodeScratch, one lane at a time.
+// controller's burst path, every exhibit's trial loop — the flat-stride
+// batch decoders (DecodeBatchFlat, DecodeErrorsErasuresBatchFlat; see
+// batch.go) run the syndrome recurrence word-parallel on package gf's
+// bit-sliced kernels, eight codewords at a time. The all-clean batch is
+// verified without running the scalar decoder at all; only lanes with
+// nonzero syndromes fall back to the scalar scratch decoders, one lane at
+// a time.
 package rs
 
 import (
@@ -78,14 +80,12 @@ type Code struct {
 	posRootInv  []byte
 	posRootRows []*[gf.Size]byte
 
-	// synBatch[i] is the broadcast row of alpha^i and encBatch[j] the
-	// broadcast row of gen[n-k-1-j]: the word-parallel counterparts of
-	// synRows and encRows, driving the batch syndrome and encode kernels
-	// (batch.go) eight codeword lanes at a time.
+	// synBatch[i] is the broadcast row of alpha^i: the word-parallel
+	// counterpart of synRows, driving the batch syndrome kernel (batch.go)
+	// eight codeword lanes at a time.
 	synBatch []gf.BroadcastRow
-	encBatch []gf.BroadcastRow
 
-	// scratch pools Scratch workspaces for the allocating Decode wrappers.
+	// scratch pools Scratch workspaces for the allocating decode wrappers.
 	scratch sync.Pool
 }
 
@@ -124,10 +124,8 @@ func New(n, k int) *Code {
 		c.posRootRows[p] = gf.MulRow(x)
 	}
 	c.synBatch = make([]gf.BroadcastRow, nk)
-	c.encBatch = make([]gf.BroadcastRow, nk)
 	for j := 0; j < nk; j++ {
 		c.synBatch[j] = gf.MulRowBatch(gf.Exp(j))
-		c.encBatch[j] = gf.MulRowBatch(gen[nk-1-j])
 	}
 	c.scratch.New = func() any { return c.NewScratch() }
 	return c
@@ -186,15 +184,10 @@ func (c *Code) EncodeInto(cw []byte) {
 	copy(cw[c.k:], rem)
 }
 
-// Syndromes computes the N-K syndromes of cw in a fresh slice. All zero
-// syndromes mean the codeword is consistent (either error-free, or an
-// undetectable error pattern that aliases to another valid codeword).
-func (c *Code) Syndromes(cw []byte) []byte {
-	return c.SyndromesInto(cw, make([]byte, c.n-c.k))
-}
-
 // SyndromesInto computes the N-K syndromes of cw into syn, which must have
-// length N-K, and returns syn. It performs no heap allocations.
+// length N-K, and returns syn. All zero syndromes mean the codeword is
+// consistent (either error-free, or an undetectable error pattern that
+// aliases to another valid codeword). It performs no heap allocations.
 func (c *Code) SyndromesInto(cw, syn []byte) []byte {
 	if len(cw) != c.n {
 		panic(fmt.Sprintf("rs: Syndromes called with %d symbols, want %d", len(cw), c.n))
@@ -239,11 +232,4 @@ func (c *Code) SyndromesInto(cw, syn []byte) []byte {
 		}
 	}
 	return syn
-}
-
-// Check reports whether cw is a consistent codeword (all syndromes zero).
-// It performs no heap allocations.
-func (c *Code) Check(cw []byte) bool {
-	var buf [gf.Order]byte
-	return allZero(c.SyndromesInto(cw, buf[:c.n-c.k]))
 }

@@ -50,7 +50,7 @@ func TestEncodeIsSystematic(t *testing.T) {
 		if !bytes.Equal(cw[:c.K()], data) {
 			t.Fatalf("(%d,%d): codeword does not begin with data", c.N(), c.K())
 		}
-		if !c.Check(cw) {
+		if !allZero(c.SyndromesInto(cw, make([]byte, c.CheckSymbols()))) {
 			t.Fatalf("(%d,%d): fresh codeword fails syndrome check", c.N(), c.K())
 		}
 	}
@@ -78,7 +78,7 @@ func TestDecodeCleanCodeword(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range codesUnderTest() {
 		cw := c.Encode(randData(r, c.K()))
-		res, err := c.Decode(cw)
+		res, err := c.DecodeBounded(cw, c.MaxCorrectable())
 		if err != nil {
 			t.Fatalf("(%d,%d): decode of clean codeword failed: %v", c.N(), c.K(), err)
 		}
@@ -100,7 +100,7 @@ func TestDecodeCorrectsSingleErrorEveryPositionEveryValue(t *testing.T) {
 			bad := make([]byte, len(cw))
 			copy(bad, cw)
 			bad[pos] ^= delta
-			res, err := c.Decode(bad)
+			res, err := c.DecodeBounded(bad, c.MaxCorrectable())
 			if err != nil {
 				t.Fatalf("pos %d delta %#x: %v", pos, delta, err)
 			}
@@ -127,7 +127,7 @@ func TestDecodeCorrectsUpToT(t *testing.T) {
 				for _, p := range positions {
 					bad[p] ^= byte(1 + r.Intn(255))
 				}
-				res, err := c.Decode(bad)
+				res, err := c.DecodeBounded(bad, c.MaxCorrectable())
 				if err != nil {
 					t.Fatalf("(%d,%d) %d errors: %v", c.N(), c.K(), errs, err)
 				}
@@ -179,7 +179,7 @@ func TestRelaxedCodeDoubleErrorMayMiscorrect(t *testing.T) {
 		for _, p := range positions {
 			bad[p] ^= byte(1 + r.Intn(255))
 		}
-		res, err := c.Decode(bad)
+		res, err := c.DecodeBounded(bad, c.MaxCorrectable())
 		switch {
 		case err == ErrUncorrectable:
 			detected++
@@ -241,7 +241,7 @@ func TestDecodeErasures(t *testing.T) {
 				for _, p := range erasures {
 					bad[p] ^= byte(1 + r.Intn(255))
 				}
-				res, err := c.DecodeErasures(bad, erasures)
+				res, err := c.DecodeErrorsErasures(bad, erasures, 0)
 				if err != nil {
 					t.Fatalf("(%d,%d) %d erasures: %v", c.N(), c.K(), numErase, err)
 				}
@@ -259,7 +259,7 @@ func TestDecodeErasuresUnchangedPositionsAllowed(t *testing.T) {
 	c := New(36, 32)
 	r := rand.New(rand.NewSource(10))
 	cw := c.Encode(randData(r, c.K()))
-	res, err := c.DecodeErasures(cw, []int{0, 7, 35})
+	res, err := c.DecodeErrorsErasures(cw, []int{0, 7, 35}, 0)
 	if err != nil || !bytes.Equal(res.Corrected, cw) {
 		t.Fatalf("erasing intact positions: err=%v", err)
 	}
@@ -296,7 +296,7 @@ func TestDecodeErrorsErasuresCombined(t *testing.T) {
 func TestDecodeErasuresTooMany(t *testing.T) {
 	c := New(18, 16)
 	cw := c.Encode(make([]byte, 16))
-	if _, err := c.DecodeErasures(cw, []int{0, 1, 2}); err != ErrUncorrectable {
+	if _, err := c.DecodeErrorsErasures(cw, []int{0, 1, 2}, 0); err != ErrUncorrectable {
 		t.Fatalf("3 erasures on 2-check code: err = %v, want ErrUncorrectable", err)
 	}
 }
@@ -308,10 +308,10 @@ func TestDecodeErasuresPanicsOnBadPositions(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("DecodeErasures(%v) did not panic", bad)
+					t.Errorf("DecodeErrorsErasures(%v) did not panic", bad)
 				}
 			}()
-			c.DecodeErasures(cw, bad)
+			c.DecodeErrorsErasures(cw, bad, 0)
 		}()
 	}
 }
@@ -325,11 +325,11 @@ func TestDecodeDoesNotModifyInput(t *testing.T) {
 	bad[5] ^= 0x11
 	snapshot := make([]byte, len(bad))
 	copy(snapshot, bad)
-	if _, err := c.Decode(bad); err != nil {
+	if _, err := c.DecodeBounded(bad, c.MaxCorrectable()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bad, snapshot) {
-		t.Fatal("Decode modified its input")
+		t.Fatal("DecodeBounded modified its input")
 	}
 }
 
@@ -352,13 +352,17 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 
 func TestSyndromesLengthAndPanic(t *testing.T) {
 	c := New(18, 16)
-	if got := len(c.Syndromes(make([]byte, 18))); got != 2 {
-		t.Fatalf("syndrome count = %d, want 2", got)
+	for name, f := range map[string]func(){
+		"short codeword":        func() { c.SyndromesInto(make([]byte, 17), make([]byte, 2)) },
+		"wrong syndrome buffer": func() { c.SyndromesInto(make([]byte, 18), make([]byte, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SyndromesInto with %s did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Syndromes with wrong length did not panic")
-		}
-	}()
-	c.Syndromes(make([]byte, 17))
 }

@@ -15,7 +15,7 @@ import (
 // concurrent use, and the Result returned by DecodeScratch /
 // DecodeErrorsErasuresScratch aliases the scratch's buffers, valid only
 // until the next call that reuses the Scratch. Callers that need the result
-// to outlive the scratch must copy it (the allocating Decode wrappers do
+// to outlive the scratch must copy it (the allocating decode wrappers do
 // exactly that with a pooled Scratch).
 type Scratch struct {
 	out    []byte // corrected codeword, length N
@@ -71,7 +71,7 @@ func (c *Code) NewScratch() *Scratch {
 // DecodeScratch corrects at most maxErrors symbol errors in cw using the
 // workspace s, with zero heap allocations. The input is not modified. The
 // returned Result aliases s's buffers and is valid until s's next use; see
-// Decode/DecodeBounded for the allocating equivalents and the meaning of
+// DecodeBounded for the allocating equivalent and the meaning of
 // maxErrors.
 func (c *Code) DecodeScratch(cw []byte, maxErrors int, s *Scratch) (Result, error) {
 	if len(cw) != c.n {

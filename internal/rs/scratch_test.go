@@ -93,7 +93,7 @@ func TestDecodeErrorsErasuresScratchMatchesWrapper(t *testing.T) {
 }
 
 // TestErasureOnlyDecodeDetectsExcessErrors pins the erasure-only policy
-// (maxErrors == 0, as DecodeErasures uses): a codeword carrying errors
+// (maxErrors == 0, as double chip sparing uses): a codeword carrying errors
 // beyond the erased positions has nonzero modified syndromes past the
 // erasure count and must come back ErrUncorrectable — never a silent
 // miscorrection presented as success.
@@ -200,11 +200,11 @@ func TestScratchResultAliasing(t *testing.T) {
 		t.Fatal("scratch result did not alias the workspace; update the contract docs")
 	}
 
-	stable, err := c.Decode(cwA)
+	stable, err := c.DecodeBounded(cwA, c.MaxCorrectable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decode(cwB); err != nil {
+	if _, err := c.DecodeBounded(cwB, c.MaxCorrectable()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stable.Corrected, cwA) {

@@ -232,6 +232,13 @@ func (s *Server) validate(body []byte) (submission, int, error) {
 	if err != nil {
 		return submission{}, http.StatusBadRequest, err
 	}
+	// A trace names a file on the server's disk: the server opens no
+	// client-named path, so it refuses every trace before any file-system
+	// access, with one answer whether or not the path exists.
+	if sc.Trace != "" {
+		return submission{}, http.StatusBadRequest,
+			errors.New("scenario field \"trace\" is not accepted by the server; replay traces with arcc-experiments -scenario or -trace")
+	}
 	ex, err := experiments.NewScenarioExhibit(sc)
 	if err != nil {
 		return submission{}, http.StatusBadRequest, err

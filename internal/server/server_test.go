@@ -181,27 +181,11 @@ func TestSubmitStatusResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewAxisScenariosThroughServer submits one scenario per new PR-10
-// family — DDR5 geometry with multi-tenant interference, correlated
-// row/bank bursts, and trace replay — purely as JSON, and checks each
-// result byte-identical to the CLI's rendering of the same scenario.
+// TestNewAxisScenariosThroughServer submits one scenario per scenario-axis
+// family the server accepts — DDR5 geometry with multi-tenant
+// interference and correlated row/bank bursts — purely as JSON, and checks
+// each result byte-identical to the CLI's rendering of the same scenario.
 func TestNewAxisScenariosThroughServer(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "core0.trc")
-	f, err := os.Create(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := workload.Record(f, workload.ByName("mesa").NewStream(7, 0), 2000); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tracePath, err := json.Marshal(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	families := map[string]string{
 		"ddr5-tenants": `{"name":"ddr5-tenants","trials":64,"years":2,"mixes":[],
 			"dram":"ddr5","width":8,
@@ -209,8 +193,6 @@ func TestNewAxisScenariosThroughServer(t *testing.T) {
 			"shared_llc":true,"llc_bytes":2097152}`,
 		"burst": `{"name":"burst","trials":64,"years":2,"mixes":[],
 			"burst":{"row_prob":0.5,"row_mean":4,"row_max":16,"bank_prob":0.2,"bank_mean":3,"bank_max":8}}`,
-		"trace-replay": fmt.Sprintf(`{"name":"trace-replay","trials":64,"years":2,"mixes":[],
-			"dram":"ddr4","trace":%s}`, tracePath),
 	}
 
 	_, ts := newTestServer(t, server.Options{Workers: 2})
@@ -227,16 +209,57 @@ func TestNewAxisScenariosThroughServer(t *testing.T) {
 		if want := cliRender(t, scenario, "json", 7, 0, 0, true); !bytes.Equal(got, want) {
 			t.Fatalf("%s: HTTP result differs from CLI output:\n got: %s\nwant: %s", label, got, want)
 		}
-		switch label {
-		case "ddr5-tenants":
-			if !bytes.Contains(got, []byte(`"tenants"`)) {
-				t.Fatalf("%s: result missing tenants row: %s", label, got)
-			}
-		case "trace-replay":
-			if !bytes.Contains(got, []byte(`"trace"`)) {
-				t.Fatalf("%s: result missing trace row: %s", label, got)
-			}
+		if label == "ddr5-tenants" && !bytes.Contains(got, []byte(`"tenants"`)) {
+			t.Fatalf("%s: result missing tenants row: %s", label, got)
 		}
+	}
+}
+
+// TestTraceScenarioRejected pins that the server never opens a
+// client-named file: a scenario naming a trace is refused at submission
+// with the same 400 and body whether the path holds a valid trace or does
+// not exist, so the answer reveals nothing about the server's disk.
+func TestTraceScenarioRejected(t *testing.T) {
+	dir := t.TempDir()
+	existing := filepath.Join(dir, "core0.trc")
+	f, err := os.Create(existing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Record(f, workload.ByName("mesa").NewStream(7, 0), 2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, server.Options{Workers: 1})
+	var bodies [][]byte
+	for _, path := range []string{existing, filepath.Join(dir, "missing.trc")} {
+		quoted, err := json.Marshal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(fmt.Sprintf(
+			`{"scenario": {"name":"trace-replay","trials":64,"years":2,"mixes":[],"trace":%s}, "quick": true}`, quoted)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("trace %s: HTTP %d, want 400: %s", path, resp.StatusCode, body)
+		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("existing and missing trace paths answered differently:\n%s\n%s", bodies[0], bodies[1])
+	}
+	if code, body := get(t, ts.URL+"/v1/jobs"); code != http.StatusOK || !bytes.Equal(bytes.TrimSpace(body), []byte("[]")) {
+		t.Fatalf("rejected trace jobs were registered: HTTP %d %s", code, body)
 	}
 }
 

@@ -131,16 +131,6 @@ func (e Weighted) Mean() float64 {
 	return e.SumWX / float64(e.Y.Count)
 }
 
-// NormalizedMean returns the self-normalized estimate Σwx/Σw — the
-// conventional weighted mean, which estimates E[f(X)] only up to the
-// normalization of the weights. It panics when no weight has been seen.
-func (e Weighted) NormalizedMean() float64 {
-	if e.SumW == 0 {
-		panic("stats: normalized mean with zero total weight")
-	}
-	return e.SumWX / e.SumW
-}
-
 // CI95 returns the half-width of the 95% confidence interval of Mean;
 // zero below two trials.
 func (e Weighted) CI95() float64 { return e.Y.CI95() }

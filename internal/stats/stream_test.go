@@ -134,8 +134,7 @@ func TestWeightedMerge(t *testing.T) {
 
 func TestWeightedEmptyPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"Mean":           func() { (Weighted{}).Mean() },
-		"NormalizedMean": func() { (Weighted{}).NormalizedMean() },
+		"Mean": func() { (Weighted{}).Mean() },
 	} {
 		func() {
 			defer func() {

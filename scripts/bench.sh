@@ -25,7 +25,7 @@ run() { go test -run=xxx -benchmem -count=1 "$@" | tee -a "$raw"; }
 # word-parallel batch kernels (PR 8): the batch benchmarks report ns per
 # CODEWORD, so BenchmarkDecodeBatchClean vs BenchmarkDecodeScratchClean is
 # the batch speedup on the clean read that dominates every sweep.
-run -bench='MulAddSlice|EncodeInto|EncodeBatch|Syndromes|ChienSearch|DecodeScratch|Decode2Err|DecodeBatch|CheckBatch|DecodeErasuresScratch' \
+run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|Decode2Err|DecodeBatch|DecodeErasuresScratch' \
     ./internal/gf/ ./internal/rs/
 # Fault-arrival sampling, including the conditional ("at least one
 # fault") and rate-tilted importance samplers (PR 9).
