@@ -54,11 +54,12 @@ func benchLLC(b *testing.B, policy cache.Policy) {
 			addrs[i] = uint64(rng.Intn(1 << 22))
 		}
 	}
+	var evs []cache.Eviction
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := addrs[i%len(addrs)]
 		if !c.Access(a, false) {
-			c.Insert(a, i%3 == 0, false)
+			evs = c.InsertInto(a, i%3 == 0, false, evs[:0])
 		}
 	}
 }

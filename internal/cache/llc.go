@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -39,17 +40,22 @@ const (
 	IndependentLRU
 )
 
-type way struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	upgraded bool
-	lastUse  int64
-}
+// Flag bits held in the low bits of a way's tag word.
+const (
+	flagDirty uint64 = 1 << iota
+	flagUpgraded
+	flagBits = 2
+)
 
-// LLC is a set-associative write-back, write-allocate cache.
+// LLC is a set-associative write-back, write-allocate cache. Its ways are
+// stored struct-of-arrays within one flat slice: set s owns the block
+// ways[s*2*assoc:], which holds the set's assoc tag words followed by its
+// assoc recency words, so a lookup walks 8 bytes per way and a set's tags
+// and recencies sit side by side. A tag word is (tag+1)<<flagBits | flags,
+// and 0 marks an invalid way. Line addresses are byte addresses / 64, so
+// below 2^58, and the shifted tag never overflows.
 type LLC struct {
-	sets     [][]way
+	ways     []uint64
 	numSets  uint64
 	tagShift uint // log2(numSets); addr = tag<<tagShift | setIndex
 	assoc    int
@@ -58,6 +64,23 @@ type LLC struct {
 	tagReads int64
 
 	hits, misses, writebacks int64
+
+	// miss is the set scan of the last missing Access, saved for the
+	// InsertInto that follows it so the fill does not walk the set again.
+	miss missScan
+}
+
+// missScan is what one pass over a set learnt on a miss. It describes
+// the set only as long as nothing in it changes: insertOne trusts it when
+// at equals the clock (the one tick after the Access that saved it) and
+// addr matches, and evict voids it whenever it drops an upgraded partner,
+// since that partner may live in the very set the scan describes.
+type missScan struct {
+	addr     uint64
+	at       int64 // clock of the InsertInto the scan serves; 0 = none
+	free     int   // first invalid way, or -1 when the set is full
+	lru      int   // valid way with the oldest own recency
+	upgraded bool  // some valid way holds an upgraded sub-line
 }
 
 // New builds an LLC of sizeBytes with the given associativity and 64 B
@@ -77,13 +100,8 @@ func New(sizeBytes, assoc int, policy Policy) *LLC {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a power of two", numSets))
 	}
-	sets := make([][]way, numSets)
-	backing := make([]way, numSets*assoc)
-	for i := range sets {
-		sets[i], backing = backing[:assoc], backing[assoc:]
-	}
 	return &LLC{
-		sets:     sets,
+		ways:     make([]uint64, 2*lines),
 		numSets:  uint64(numSets),
 		tagShift: uint(bits.TrailingZeros64(uint64(numSets))),
 		assoc:    assoc,
@@ -92,74 +110,77 @@ func New(sizeBytes, assoc int, policy Policy) *LLC {
 }
 
 // Reset returns the cache to its post-New state — empty, counters zeroed —
-// reusing the backing arrays. sim.Scratch resets rather than reallocates the
+// reusing the backing array. sim.Scratch resets rather than reallocates the
 // LLCs between simulator runs.
 func (c *LLC) Reset() {
-	for _, set := range c.sets {
-		clear(set)
-	}
+	clear(c.ways)
 	c.clock, c.tagReads = 0, 0
 	c.hits, c.misses, c.writebacks = 0, 0, 0
+	c.miss = missScan{}
 }
 
 func (c *LLC) setIndex(addr uint64) uint64 { return addr & (c.numSets - 1) }
 func (c *LLC) tagOf(addr uint64) uint64    { return addr >> c.tagShift }
 
-func (c *LLC) find(addr uint64) *way {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	c.tagReads++
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
+// setBase returns the index in ways of set setIdx's first tag word; the
+// way at index w keeps its recency at w+assoc.
+func (c *LLC) setBase(setIdx uint64) int { return int(setIdx) * 2 * c.assoc }
+
+// scan walks addr's set once. It returns the way holding addr, or -1
+// after storing in m the set's free way, plain-LRU way and whether any way
+// is upgraded.
+func (c *LLC) scan(addr uint64, m *missScan) int {
+	base := c.setBase(c.setIndex(addr))
+	want := c.tagOf(addr) + 1
+	tags := c.ways[base : base+c.assoc]
+	lastUse := c.ways[base+c.assoc : base+c.assoc+len(tags)]
+	free, lru := -1, 0
+	oldest := int64(math.MaxInt64)
+	var seen uint64
+	for i, t := range tags {
+		switch {
+		case t>>flagBits == want:
+			return base + i
+		case t == 0:
+			if free < 0 {
+				free = base + i
+			}
+		default:
+			if rec := int64(lastUse[i]); rec < oldest {
+				oldest, lru = rec, base+i
+			}
+			seen |= t
 		}
 	}
-	return nil
+	*m = missScan{addr: addr, free: free, lru: lru, upgraded: seen&flagUpgraded != 0}
+	return -1
 }
 
 // Access looks up addr, updating recency and the dirty bit on a hit.
-// It reports whether the access hit.
+// It reports whether the access hit. A miss saves its set scan for the
+// InsertInto that follows.
 func (c *LLC) Access(addr uint64, write bool) bool {
 	c.clock++
-	if w := c.find(addr); w != nil {
+	c.tagReads++
+	if w := c.scan(addr, &c.miss); w >= 0 {
 		c.hits++
-		w.lastUse = c.clock
+		c.ways[w+c.assoc] = uint64(c.clock)
 		if write {
-			w.dirty = true
+			c.ways[w] |= flagDirty
 		}
 		return true
 	}
 	c.misses++
+	c.miss.at = c.clock + 1
 	return false
 }
 
-// Contains reports residency without touching recency or statistics.
-func (c *LLC) Contains(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Insert fills addr after a miss. For upgraded lines both sub-lines
+// InsertInto fills addr after a miss. For upgraded lines both sub-lines
 // (addr&^1 and addr|1) are inserted — the memory returned the whole 128 B
-// line. Returns the evictions this caused in a fresh slice (nil when none).
-// write marks the *requested* line dirty.
-//
-// Insert is a compatibility wrapper over InsertInto; hot callers should
-// pass their own eviction scratch to InsertInto instead.
-func (c *LLC) Insert(addr uint64, upgraded, write bool) []Eviction {
-	return c.InsertInto(addr, upgraded, write, nil)
-}
-
-// InsertInto is Insert with a caller-owned eviction buffer: the evictions
-// (at most three: a victim plus an upgraded victim's partner per sub-line
-// inserted) are appended to evs and the extended slice is returned. Passing
-// a scratch slice with spare capacity makes a steady-state miss path
+// line. write marks the *requested* line dirty. The evictions (at most
+// three: a victim plus an upgraded victim's partner per sub-line inserted)
+// are appended to evs and the extended slice is returned. Passing a
+// scratch slice with spare capacity makes a steady-state miss path
 // allocation-free.
 func (c *LLC) InsertInto(addr uint64, upgraded, write bool, evs []Eviction) []Eviction {
 	c.clock++
@@ -173,95 +194,104 @@ func (c *LLC) InsertInto(addr uint64, upgraded, write bool, evs []Eviction) []Ev
 }
 
 func (c *LLC) insertOne(addr uint64, upgraded, dirty bool, evs []Eviction) []Eviction {
-	if w := c.find(addr); w != nil {
+	var flags uint64
+	if dirty {
+		flags |= flagDirty
+	}
+	if upgraded {
+		flags |= flagUpgraded
+	}
+	// The lookup costs a tag read whether or not a saved scan answers it.
+	c.tagReads++
+	var m missScan
+	if c.miss.at == c.clock && c.miss.addr == addr {
+		m, c.miss.at = c.miss, 0
+	} else if w := c.scan(addr, &m); w >= 0 {
 		// Already resident (e.g. partner was brought in earlier).
-		w.lastUse = c.clock
-		w.upgraded = w.upgraded || upgraded
-		w.dirty = w.dirty || dirty
+		c.ways[w+c.assoc] = uint64(c.clock)
+		c.ways[w] |= flags
 		return evs
 	}
-	set := c.sets[c.setIndex(addr)]
-	victim := c.pickVictim(addr, set)
-	if victim.valid {
-		evs = c.evict(victim, c.setIndex(addr), evs)
+	setIdx := c.setIndex(addr)
+	victim := m.free
+	if victim < 0 {
+		victim = m.lru
+		if c.policy == SharedRecency && m.upgraded {
+			victim = c.sharedRecencyVictim(setIdx)
+		}
+		evs = c.evict(victim, setIdx, evs)
 	}
-	*victim = way{tag: c.tagOf(addr), valid: true, dirty: dirty, upgraded: upgraded, lastUse: c.clock}
+	c.ways[victim] = (c.tagOf(addr)+1)<<flagBits | flags
+	c.ways[victim+c.assoc] = uint64(c.clock)
 	return evs
 }
 
-// pickVictim selects the LRU way. Under SharedRecency, a sub-line of an
-// upgraded pair is judged by the most recent use of either sub-line, which
-// costs a second tag access (counted; the paper doubles replacement time
-// and observes no slowdown).
-func (c *LLC) pickVictim(addr uint64, set []way) *way {
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-	}
-	setIdx := c.setIndex(addr)
-	best := 0
-	bestRecency := int64(1<<62 - 1)
-	for i := range set {
-		rec := set[i].lastUse
-		if c.policy == SharedRecency && set[i].upgraded {
-			if p := c.partnerOf(&set[i], setIdx); p != nil {
+// sharedRecencyVictim picks the LRU way of a full set, judging a sub-line
+// of an upgraded pair by the most recent use of either sub-line. Each
+// resident partner costs a second tag access (counted; the paper doubles
+// replacement time and observes no slowdown).
+func (c *LLC) sharedRecencyVictim(setIdx uint64) int {
+	base := c.setBase(setIdx)
+	best, oldest := base, int64(math.MaxInt64)
+	for w := base; w < base+c.assoc; w++ {
+		rec := int64(c.ways[w+c.assoc])
+		if c.ways[w]&flagUpgraded != 0 {
+			if p := c.partnerOf(w, setIdx); p >= 0 {
 				c.tagReads++
-				if p.lastUse > rec {
-					rec = p.lastUse
-				}
+				rec = max(rec, int64(c.ways[p+c.assoc]))
 			}
 		}
-		if rec < bestRecency {
-			bestRecency = rec
-			best = i
+		if rec < oldest {
+			best, oldest = w, rec
 		}
 	}
-	return &set[best]
+	return best
 }
 
-// partnerOf finds the partner sub-line of w (which lives in the adjacent
-// set with the same tag), or nil if it is not resident.
-func (c *LLC) partnerOf(w *way, setIdx uint64) *way {
-	addr := w.tag<<c.tagShift | setIdx
-	partner := addr ^ 1
-	set := c.sets[c.setIndex(partner)]
-	tag := c.tagOf(partner)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
+// partnerOf finds the partner sub-line of way w of set setIdx, or -1 if it
+// is not resident. The partner address differs only in its lowest bit, so
+// it carries the same tag in the adjacent set.
+func (c *LLC) partnerOf(w int, setIdx uint64) int {
+	base := c.setBase(setIdx ^ 1)
+	tag1 := c.ways[w] >> flagBits
+	for i, t := range c.ways[base : base+c.assoc] {
+		if t>>flagBits == tag1 {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// evict removes w and, for upgraded sub-lines, also removes the partner so
-// both halves write back together. The evictions are appended to evs.
-func (c *LLC) evict(w *way, setIdx uint64, evs []Eviction) []Eviction {
-	addr := w.tag<<c.tagShift | setIdx
-	if !w.upgraded {
-		if w.dirty {
+// evict pushes out the valid way w of set setIdx and, for upgraded
+// sub-lines, also removes the partner so both halves write back together.
+// The evictions are appended to evs. The caller refills w.
+func (c *LLC) evict(w int, setIdx uint64, evs []Eviction) []Eviction {
+	t := c.ways[w]
+	addr := (t>>flagBits-1)<<c.tagShift | setIdx
+	dirty := t&flagDirty != 0
+	if t&flagUpgraded == 0 {
+		if dirty {
 			c.writebacks++
 		}
-		w.valid = false
-		return append(evs, Eviction{Addr: addr, Dirty: w.dirty})
+		return append(evs, Eviction{Addr: addr, Dirty: dirty})
 	}
 	partnerAddr := addr ^ 1
 	base := len(evs)
-	evs = append(evs, Eviction{Addr: addr, Dirty: w.dirty, Upgraded: true, PairedWith: partnerAddr})
-	if p := c.partnerOf(w, setIdx); p != nil {
+	evs = append(evs, Eviction{Addr: addr, Dirty: dirty, Upgraded: true, PairedWith: partnerAddr})
+	if p := c.partnerOf(w, setIdx); p >= 0 {
 		// Either sub-line dirty forces the pair to write back together.
-		evs = append(evs, Eviction{Addr: partnerAddr, Dirty: p.dirty, Upgraded: true, PairedWith: addr})
-		if w.dirty || p.dirty {
+		partnerDirty := c.ways[p]&flagDirty != 0
+		evs = append(evs, Eviction{Addr: partnerAddr, Dirty: partnerDirty, Upgraded: true, PairedWith: addr})
+		if dirty || partnerDirty {
 			evs[base].Dirty = true
 			evs[base+1].Dirty = true
 			c.writebacks += 2
 		}
-		p.valid = false
-	} else if w.dirty {
+		c.ways[p] = 0
+		c.miss.at = 0 // the partner's set may be the one the saved scan describes
+	} else if dirty {
 		c.writebacks++
 	}
-	w.valid = false
 	return evs
 }
 
@@ -269,13 +299,4 @@ func (c *LLC) evict(w *way, setIdx uint64, evs []Eviction) []Eviction {
 // tag read per replacement is the overhead §4.2.3 discusses).
 func (c *LLC) Stats() (hits, misses, writebacks, tagReads int64) {
 	return c.hits, c.misses, c.writebacks, c.tagReads
-}
-
-// HitRate returns hits / (hits + misses), or 0 before any access.
-func (c *LLC) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

@@ -10,6 +10,35 @@ func newSmall(policy Policy) *LLC {
 	return New(8*1024, 2, policy)
 }
 
+// insert fills addr with a fresh eviction slice.
+func insert(c *LLC, addr uint64, upgraded, write bool) []Eviction {
+	return c.InsertInto(addr, upgraded, write, nil)
+}
+
+// contains reports residency without touching recency or statistics.
+func contains(c *LLC, addr uint64) bool {
+	return c.scan(addr, &missScan{}) >= 0
+}
+
+// hitRate returns hits / (hits + misses), or 0 before any access.
+// setTags returns the stored tags (tag+1, 0 = invalid) of set setIdx.
+func setTags(c *LLC, setIdx uint64) []uint64 {
+	base := c.setBase(setIdx)
+	tags := make([]uint64, c.assoc)
+	for i, t := range c.ways[base : base+c.assoc] {
+		tags[i] = t >> flagBits
+	}
+	return tags
+}
+
+func hitRate(c *LLC) float64 {
+	hits, misses, _, _ := c.Stats()
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
+}
+
 func TestNewPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero size":   func() { New(0, 2, SharedRecency) },
@@ -33,7 +62,7 @@ func TestMissThenHit(t *testing.T) {
 	if c.Access(100, false) {
 		t.Fatal("cold access hit")
 	}
-	c.Insert(100, false, false)
+	insert(c, 100, false, false)
 	if !c.Access(100, false) {
 		t.Fatal("access after insert missed")
 	}
@@ -47,23 +76,23 @@ func TestLRUEviction(t *testing.T) {
 	c := newSmall(SharedRecency) // 64 sets, 2 ways
 	// Three addresses in the same set (stride = numSets).
 	a, b, d := uint64(0), uint64(64), uint64(128)
-	c.Insert(a, false, false)
-	c.Insert(b, false, false)
+	insert(c, a, false, false)
+	insert(c, b, false, false)
 	c.Access(a, false) // b becomes LRU
-	ev := c.Insert(d, false, false)
+	ev := insert(c, d, false, false)
 	if len(ev) != 1 || ev[0].Addr != b {
 		t.Fatalf("evictions = %+v, want [b=64]", ev)
 	}
-	if !c.Contains(a) || c.Contains(b) || !c.Contains(d) {
+	if !contains(c, a) || contains(c, b) || !contains(c, d) {
 		t.Fatal("wrong resident set after eviction")
 	}
 }
 
 func TestDirtyEvictionCountsWriteback(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(0, false, true) // dirty
-	c.Insert(64, false, false)
-	ev := c.Insert(128, false, false) // evicts 0 (LRU)
+	insert(c, 0, false, true) // dirty
+	insert(c, 64, false, false)
+	ev := insert(c, 128, false, false) // evicts 0 (LRU)
 	if len(ev) != 1 || !ev[0].Dirty {
 		t.Fatalf("evictions = %+v, want dirty eviction of 0", ev)
 	}
@@ -75,8 +104,8 @@ func TestDirtyEvictionCountsWriteback(t *testing.T) {
 
 func TestUpgradedInsertBringsBothSubLines(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(10, true, false)
-	if !c.Contains(10) || !c.Contains(11) {
+	insert(c, 10, true, false)
+	if !contains(c, 10) || !contains(c, 11) {
 		t.Fatal("upgraded insert must fill both sub-lines")
 	}
 	// Sub-lines land in adjacent sets.
@@ -87,12 +116,12 @@ func TestUpgradedInsertBringsBothSubLines(t *testing.T) {
 
 func TestUpgradedPairEvictsTogether(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(10, true, true) // pair {10, 11}, 10 dirty
+	insert(c, 10, true, true) // pair {10, 11}, 10 dirty
 	// Force eviction of 10 by filling its set (set index 10, 2 ways) with
 	// same-set addresses; collect evictions across all inserts.
 	var ev []Eviction
 	for _, a := range []uint64{10 + 64, 10 + 128, 10 + 192} {
-		ev = append(ev, c.Insert(a, false, false)...)
+		ev = append(ev, insert(c, a, false, false)...)
 	}
 	var sawPair int
 	for _, e := range ev {
@@ -109,7 +138,7 @@ func TestUpgradedPairEvictsTogether(t *testing.T) {
 	if sawPair != 2 {
 		t.Fatalf("evicting one sub-line evicted %d pair members, want 2 (%+v)", sawPair, ev)
 	}
-	if c.Contains(11) {
+	if contains(c, 11) {
 		t.Fatal("partner sub-line still resident after pair eviction")
 	}
 }
@@ -118,12 +147,12 @@ func TestSharedRecencyProtectsPartner(t *testing.T) {
 	// Pair {0, 1}; only sub-line 1 is reused. Under SharedRecency the
 	// reuse of 1 must protect 0 from eviction.
 	c := newSmall(SharedRecency)
-	c.Insert(0, true, false) // pair {0,1}: 0 in set 0, 1 in set 1
-	c.Insert(64, false, false)
-	c.Access(1, false)                // refresh partner's recency
-	c.Access(64, false)               // refresh competitor too... make 64 newer than 0's own use
-	c.Access(1, false)                // partner newest overall
-	ev := c.Insert(128, false, false) // set 0 is full: {0, 64}
+	insert(c, 0, true, false) // pair {0,1}: 0 in set 0, 1 in set 1
+	insert(c, 64, false, false)
+	c.Access(1, false)                 // refresh partner's recency
+	c.Access(64, false)                // refresh competitor too... make 64 newer than 0's own use
+	c.Access(1, false)                 // partner newest overall
+	ev := insert(c, 128, false, false) // set 0 is full: {0, 64}
 	if len(ev) != 1 {
 		t.Fatalf("evictions %+v", ev)
 	}
@@ -134,12 +163,12 @@ func TestSharedRecencyProtectsPartner(t *testing.T) {
 
 func TestIndependentLRUDoesNotProtectPartner(t *testing.T) {
 	c := newSmall(IndependentLRU)
-	c.Insert(0, true, false)
-	c.Insert(64, false, false)
+	insert(c, 0, true, false)
+	insert(c, 64, false, false)
 	c.Access(1, false)
 	c.Access(64, false)
 	c.Access(1, false)
-	ev := c.Insert(128, false, false)
+	ev := insert(c, 128, false, false)
 	// Under independent LRU, sub-line 0's own recency is oldest, so the
 	// pair gets evicted despite partner reuse.
 	found := false
@@ -155,17 +184,15 @@ func TestIndependentLRUDoesNotProtectPartner(t *testing.T) {
 
 func TestPartnerReinsertIsIdempotent(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(20, true, false)
-	c.Insert(21, true, true) // partner already resident; must not duplicate
-	if !c.Contains(20) || !c.Contains(21) {
+	insert(c, 20, true, false)
+	insert(c, 21, true, true) // partner already resident; must not duplicate
+	if !contains(c, 20) || !contains(c, 21) {
 		t.Fatal("pair should be resident")
 	}
 	// Count resident copies of 21's tag in its set.
-	set := c.sets[c.setIndex(21)]
-	tag := c.tagOf(21)
 	n := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for _, tag := range setTags(c, c.setIndex(21)) {
+		if tag == c.tagOf(21)+1 {
 			n++
 		}
 	}
@@ -176,12 +203,12 @@ func TestPartnerReinsertIsIdempotent(t *testing.T) {
 
 func TestWriteMarksOnlyRequestedSubLineDirty(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(30, true, true) // write to even sub-line
+	insert(c, 30, true, true) // write to even sub-line
 	// Evict the pair and check dirtiness: 30 dirty, and pair write-back
 	// policy promotes both to dirty together.
-	c.Insert(30+64, false, false)
-	c.Insert(30+128, false, false)
-	ev := c.Insert(30+192, false, false)
+	insert(c, 30+64, false, false)
+	insert(c, 30+128, false, false)
+	ev := insert(c, 30+192, false, false)
 	for _, e := range ev {
 		if (e.Addr == 30 || e.Addr == 31) && !e.Dirty {
 			t.Fatalf("pair member %d not dirty on paired write-back", e.Addr)
@@ -191,10 +218,10 @@ func TestWriteMarksOnlyRequestedSubLineDirty(t *testing.T) {
 
 func TestTagReadsCountedForSharedRecency(t *testing.T) {
 	c := newSmall(SharedRecency)
-	c.Insert(0, true, false)
-	c.Insert(64, false, false)
+	insert(c, 0, true, false)
+	insert(c, 64, false, false)
 	_, _, _, before := c.Stats()
-	c.Insert(128, false, false) // replacement in set 0 examines partner tag
+	insert(c, 128, false, false) // replacement in set 0 examines partner tag
 	_, _, _, after := c.Stats()
 	if after <= before {
 		t.Fatal("replacement did not record extra tag reads")
@@ -203,13 +230,13 @@ func TestTagReadsCountedForSharedRecency(t *testing.T) {
 
 func TestHitRate(t *testing.T) {
 	c := newSmall(SharedRecency)
-	if c.HitRate() != 0 {
+	if hitRate(c) != 0 {
 		t.Fatal("hit rate before any access")
 	}
-	c.Insert(5, false, false)
+	insert(c, 5, false, false)
 	c.Access(5, false)
 	c.Access(6, false)
-	if got := c.HitRate(); got != 0.5 {
+	if got := hitRate(c); got != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", got)
 	}
 }
@@ -222,20 +249,20 @@ func TestRandomizedInvariantNoDuplicateResidency(t *testing.T) {
 		upgraded := rng.Intn(3) == 0
 		write := rng.Intn(2) == 0
 		if !c.Access(addr, write) {
-			c.Insert(addr, upgraded, write)
+			insert(c, addr, upgraded, write)
 		}
 	}
 	// Invariant: no tag appears twice in a set.
-	for si, set := range c.sets {
+	for si := uint64(0); si < c.numSets; si++ {
 		seen := map[uint64]bool{}
-		for _, w := range set {
-			if !w.valid {
+		for _, tag := range setTags(c, si) {
+			if tag == 0 {
 				continue
 			}
-			if seen[w.tag] {
-				t.Fatalf("set %d holds duplicate tag %d", si, w.tag)
+			if seen[tag] {
+				t.Fatalf("set %d holds duplicate tag %d", si, tag-1)
 			}
-			seen[w.tag] = true
+			seen[tag] = true
 		}
 	}
 }
@@ -254,10 +281,10 @@ func TestSpatialWorkloadBenefitsFromUpgradedPrefetch(t *testing.T) {
 				addr = uint64(rng.Intn(1 << 20))
 			}
 			if !c.Access(addr, false) {
-				c.Insert(addr, upgraded, false)
+				insert(c, addr, upgraded, false)
 			}
 		}
-		return c.HitRate()
+		return hitRate(c)
 	}
 	relaxed, upgraded := run(false), run(true)
 	if upgraded <= relaxed {
@@ -265,12 +292,13 @@ func TestSpatialWorkloadBenefitsFromUpgradedPrefetch(t *testing.T) {
 	}
 }
 
-// TestInsertIntoMatchesInsert pins the scratch API to the legacy one: the
-// same access/insert sequence driven through InsertInto (with a reused
-// eviction buffer) and Insert produces identical evictions and statistics.
+// TestInsertIntoMatchesInsert pins the scratch use of InsertInto to the
+// allocating one: the same access/insert sequence driven with a reused
+// eviction buffer and with a fresh slice per fill produces identical
+// evictions and statistics.
 func TestInsertIntoMatchesInsert(t *testing.T) {
 	for _, policy := range []Policy{SharedRecency, IndependentLRU} {
-		legacy := newSmall(policy)
+		fresh := newSmall(policy)
 		scratch := newSmall(policy)
 		rng := rand.New(rand.NewSource(7))
 		var evs []Eviction
@@ -278,13 +306,13 @@ func TestInsertIntoMatchesInsert(t *testing.T) {
 			addr := uint64(rng.Intn(512))
 			write := rng.Intn(3) == 0
 			upgraded := rng.Intn(3) == 0
-			if legacy.Access(addr, write) != scratch.Access(addr, write) {
+			if fresh.Access(addr, write) != scratch.Access(addr, write) {
 				t.Fatalf("policy %v: access %d diverged", policy, i)
 			}
-			if legacy.Contains(addr) {
+			if contains(fresh, addr) {
 				continue
 			}
-			want := legacy.Insert(addr, upgraded, write)
+			want := insert(fresh, addr, upgraded, write)
 			evs = scratch.InsertInto(addr, upgraded, write, evs[:0])
 			if len(want) != len(evs) {
 				t.Fatalf("policy %v: insert %d: %d evictions vs %d", policy, i, len(evs), len(want))
@@ -295,10 +323,10 @@ func TestInsertIntoMatchesInsert(t *testing.T) {
 				}
 			}
 		}
-		lh, lm, lw, lt := legacy.Stats()
+		fh, fm, fw, ft := fresh.Stats()
 		sh, sm, sw, st := scratch.Stats()
-		if lh != sh || lm != sm || lw != sw || lt != st {
-			t.Fatalf("policy %v: stats diverged: %d/%d/%d/%d vs %d/%d/%d/%d", policy, sh, sm, sw, st, lh, lm, lw, lt)
+		if fh != sh || fm != sm || fw != sw || ft != st {
+			t.Fatalf("policy %v: stats diverged: %d/%d/%d/%d vs %d/%d/%d/%d", policy, sh, sm, sw, st, fh, fm, fw, ft)
 		}
 	}
 }
@@ -332,7 +360,7 @@ func TestReset(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		a := uint64(rng.Intn(512))
 		if !used.Access(a, i%4 == 0) {
-			used.Insert(a, i%2 == 0, i%4 == 0)
+			insert(used, a, i%2 == 0, i%4 == 0)
 		}
 	}
 	used.Reset()
@@ -344,9 +372,9 @@ func TestReset(t *testing.T) {
 		if used.Access(a, w) != fresh.Access(a, w) {
 			t.Fatalf("access %d diverged after Reset", i)
 		}
-		if !fresh.Contains(a) {
-			wantEv := fresh.Insert(a, i%2 == 0, w)
-			gotEv := used.Insert(a, i%2 == 0, w)
+		if !contains(fresh, a) {
+			wantEv := insert(fresh, a, i%2 == 0, w)
+			gotEv := insert(used, a, i%2 == 0, w)
 			if len(wantEv) != len(gotEv) {
 				t.Fatalf("insert %d diverged after Reset", i)
 			}

@@ -15,10 +15,7 @@
 // Instructions between misses retire at the core's peak width.
 package cpu
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Config shapes one core.
 type Config struct {
@@ -41,7 +38,9 @@ type Core struct {
 	cfg          Config
 	time         int64
 	instructions int64
-	outstanding  []int64 // completion times of in-flight misses, sorted
+	// outstanding holds the completion times of in-flight misses, sorted
+	// ascending, in a backing array fixed at MLP+1 entries.
+	outstanding []int64
 }
 
 // New creates a core at time zero.
@@ -50,7 +49,7 @@ func New(cfg Config) *Core {
 		panic(fmt.Sprintf("cpu: invalid config %+v", cfg))
 	}
 	// The outstanding window never exceeds MLP entries; pre-sizing it (and
-	// compacting in place in retire) keeps the miss path allocation-free.
+	// inserting and compacting in place) keeps the miss path allocation-free.
 	return &Core{cfg: cfg, outstanding: make([]int64, 0, cfg.MLP+1)}
 }
 
@@ -68,14 +67,6 @@ func (c *Core) Now() int64 { return c.time }
 
 // Instructions returns the committed instruction count.
 func (c *Core) Instructions() int64 { return c.instructions }
-
-// IPC returns committed instructions per cycle so far.
-func (c *Core) IPC() float64 {
-	if c.time == 0 {
-		return 0
-	}
-	return float64(c.instructions) / float64(c.time)
-}
 
 // AdvanceCompute retires gap instructions at peak width.
 func (c *Core) AdvanceCompute(gap int) {
@@ -102,18 +93,6 @@ type Issuer interface {
 	IssueAt(now int64) (complete int64)
 }
 
-// issuerFunc adapts a plain callback to Issuer for the IssueMiss wrapper.
-type issuerFunc func(now int64) int64
-
-func (f issuerFunc) IssueAt(now int64) int64 { return f(now) }
-
-// IssueMiss registers a demand miss via a callback. It is a compatibility
-// wrapper over IssueMissTo; hot callers should pre-bind an Issuer instead
-// of allocating a closure per miss.
-func (c *Core) IssueMiss(issue func(now int64) (complete int64)) {
-	c.IssueMissTo(issuerFunc(issue))
-}
-
 // IssueMissTo registers a demand miss. If the MLP window is full the core
 // first stalls until the oldest outstanding miss completes. It performs no
 // heap allocations.
@@ -121,19 +100,19 @@ func (c *Core) IssueMissTo(iss Issuer) {
 	c.retire()
 	if len(c.outstanding) >= c.cfg.MLP {
 		// Stall until the oldest miss returns.
-		oldest := c.outstanding[0]
-		if oldest > c.time {
-			c.time = oldest
-		}
+		c.time = max(c.time, c.outstanding[0])
 		c.retire()
 	}
-	complete := iss.IssueAt(c.time)
-	if complete < c.time {
-		complete = c.time
+	complete := max(iss.IssueAt(c.time), c.time)
+	// Insert keeping the window sorted, shifting later completions up from
+	// the back; the window holds at most MLP-1 entries here, so the append
+	// stays within the pre-sized array.
+	c.outstanding = append(c.outstanding, complete)
+	i := len(c.outstanding) - 1
+	for ; i > 0 && c.outstanding[i-1] > complete; i-- {
+		c.outstanding[i] = c.outstanding[i-1]
 	}
-	// Insert keeping the slice sorted (it is tiny: MLP entries).
-	i, _ := slices.BinarySearch(c.outstanding, complete)
-	c.outstanding = slices.Insert(c.outstanding, i, complete)
+	c.outstanding[i] = complete
 
 	// A miss also has some exposed front-end cost even when overlapped.
 	c.time += c.cfg.HitLatency
@@ -142,27 +121,27 @@ func (c *Core) IssueMissTo(iss Issuer) {
 // Drain stalls until every outstanding miss has completed (end of a run).
 func (c *Core) Drain() {
 	if n := len(c.outstanding); n > 0 {
-		last := c.outstanding[n-1]
-		if last > c.time {
-			c.time = last
-		}
+		c.time = max(c.time, c.outstanding[n-1])
 		c.outstanding = c.outstanding[:0]
 	}
 }
 
-// OutstandingMisses returns the number of in-flight misses.
-func (c *Core) OutstandingMisses() int { return len(c.outstanding) }
-
+// retire drops the misses that have completed by now.
 func (c *Core) retire() {
-	i := 0
+	if len(c.outstanding) == 0 || c.outstanding[0] > c.time {
+		return // the oldest miss is still in flight
+	}
+	i := 1
 	for i < len(c.outstanding) && c.outstanding[i] <= c.time {
 		i++
 	}
-	if i > 0 {
-		// Compact in place (rather than reslice the front off) so the
-		// window's backing array keeps its capacity and the miss path never
-		// regrows it.
-		n := copy(c.outstanding, c.outstanding[i:])
-		c.outstanding = c.outstanding[:n]
+	// Compact in place (rather than reslice the front off) so the window's
+	// backing array keeps its capacity and the miss path never regrows it.
+	// The window is a few entries, so a loop beats copy's memmove call.
+	n := 0
+	for _, t := range c.outstanding[i:] {
+		c.outstanding[n] = t
+		n++
 	}
+	c.outstanding = c.outstanding[:n]
 }

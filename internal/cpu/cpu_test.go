@@ -1,6 +1,28 @@
 package cpu
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// ipc returns committed instructions per cycle so far.
+func ipc(c *Core) float64 {
+	if c.time == 0 {
+		return 0
+	}
+	return float64(c.instructions) / float64(c.time)
+}
+
+// fixedIssuer is a closure-free Issuer for tests: completion = now + lat.
+type fixedIssuer struct{ lat int64 }
+
+func (f *fixedIssuer) IssueAt(now int64) int64 { return now + f.lat }
+
+// staleIssuer answers every miss with a completion before it was issued.
+type staleIssuer struct{}
+
+func (staleIssuer) IssueAt(int64) int64 { return 1 }
 
 func TestNewPanicsOnBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
@@ -24,8 +46,8 @@ func TestComputeOnlyIPCApproachesPeak(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.AdvanceCompute(100)
 	}
-	if ipc := c.IPC(); ipc < 1.9 || ipc > 2.0 {
-		t.Fatalf("compute-only IPC = %v, want ~2 (peak width)", ipc)
+	if got := ipc(c); got < 1.9 || got > 2.0 {
+		t.Fatalf("compute-only IPC = %v, want ~2 (peak width)", got)
 	}
 }
 
@@ -37,10 +59,10 @@ func TestHitsSlowButDoNotStall(t *testing.T) {
 		withHits.NoteHit()
 		without.AdvanceCompute(50)
 	}
-	if withHits.IPC() >= without.IPC() {
+	if ipc(withHits) >= ipc(without) {
 		t.Fatal("hit latency should cost some IPC")
 	}
-	if withHits.IPC() < without.IPC()/2 {
+	if ipc(withHits) < ipc(without)/2 {
 		t.Fatal("hits cost too much; they are not misses")
 	}
 }
@@ -55,7 +77,7 @@ func TestMLPOverlapsMisses(t *testing.T) {
 		const lat = 300
 		for i := 0; i < 1000; i++ {
 			c.AdvanceCompute(10)
-			c.IssueMiss(func(now int64) int64 { return now + lat })
+			c.IssueMissTo(&fixedIssuer{lat})
 		}
 		c.Drain()
 		return c.Now()
@@ -71,14 +93,14 @@ func TestWindowFullStalls(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MLP = 2
 	c := New(cfg)
-	issue := func(now int64) int64 { return now + 1000 }
-	c.IssueMiss(issue)
-	c.IssueMiss(issue)
-	if c.OutstandingMisses() != 2 {
-		t.Fatalf("outstanding = %d, want 2", c.OutstandingMisses())
+	issue := &fixedIssuer{1000}
+	c.IssueMissTo(issue)
+	c.IssueMissTo(issue)
+	if len(c.outstanding) != 2 {
+		t.Fatalf("outstanding = %d, want 2", len(c.outstanding))
 	}
 	before := c.Now()
-	c.IssueMiss(issue) // must stall until the first completes
+	c.IssueMissTo(issue) // must stall until the first completes
 	if c.Now() < before+900 {
 		t.Fatalf("third miss did not stall the full window: time went %d -> %d", before, c.Now())
 	}
@@ -88,18 +110,18 @@ func TestRetireFreesWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MLP = 2
 	c := New(cfg)
-	c.IssueMiss(func(now int64) int64 { return now + 100 })
+	c.IssueMissTo(&fixedIssuer{100})
 	c.AdvanceCompute(1000) // plenty of time for the miss to retire
-	if c.OutstandingMisses() != 0 {
-		t.Fatalf("outstanding = %d after retirement window", c.OutstandingMisses())
+	if len(c.outstanding) != 0 {
+		t.Fatalf("outstanding = %d after retirement window", len(c.outstanding))
 	}
 }
 
 func TestDrain(t *testing.T) {
 	c := New(DefaultConfig())
-	c.IssueMiss(func(now int64) int64 { return now + 500 })
+	c.IssueMissTo(&fixedIssuer{500})
 	c.Drain()
-	if c.OutstandingMisses() != 0 {
+	if len(c.outstanding) != 0 {
 		t.Fatal("Drain left misses outstanding")
 	}
 	if c.Now() < 500 {
@@ -110,7 +132,7 @@ func TestDrain(t *testing.T) {
 func TestCompletionBeforeNowClamped(t *testing.T) {
 	c := New(DefaultConfig())
 	c.AdvanceCompute(10000)
-	c.IssueMiss(func(now int64) int64 { return 1 }) // stale completion
+	c.IssueMissTo(staleIssuer{}) // stale completion
 	c.Drain()
 	if c.Now() < 5000 {
 		t.Fatal("time went backwards")
@@ -133,10 +155,10 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 		c := New(DefaultConfig())
 		for i := 0; i < 2000; i++ {
 			c.AdvanceCompute(20)
-			c.IssueMiss(func(now int64) int64 { return now + lat })
+			c.IssueMissTo(&fixedIssuer{lat})
 		}
 		c.Drain()
-		return c.IPC()
+		return ipc(c)
 	}
 	fast, slow := run(150), run(300)
 	if slow >= fast {
@@ -144,33 +166,96 @@ func TestMemoryLatencySensitivity(t *testing.T) {
 	}
 }
 
-// fixedIssuer is a closure-free Issuer for tests: completion = now + lat.
-type fixedIssuer struct{ lat int64 }
+// refWindow is the sorted-slice miss window Core used before the
+// insertion-from-the-back window: binary-search insert, compaction after a
+// full scan in retire. It is the oracle for TestWindowMatchesSortedReference.
+type refWindow struct {
+	cfg         Config
+	time        int64
+	outstanding []int64
+}
 
-func (f *fixedIssuer) IssueAt(now int64) int64 { return now + f.lat }
-
-// TestIssueMissToMatchesIssueMiss pins the closure-free path to the legacy
-// callback path: the same miss sequence produces identical core state.
-func TestIssueMissToMatchesIssueMiss(t *testing.T) {
-	a := New(DefaultConfig())
-	b := New(DefaultConfig())
-	iss := &fixedIssuer{}
-	lat := []int64{200, 40, 900, 1, 0, 350, 350, 77, 600, 5}
-	for i := 0; i < 200; i++ {
-		l := lat[i%len(lat)]
-		a.AdvanceCompute(i % 7)
-		b.AdvanceCompute(i % 7)
-		a.IssueMiss(func(now int64) int64 { return now + l })
-		iss.lat = l
-		b.IssueMissTo(iss)
-		if a.Now() != b.Now() || a.Instructions() != b.Instructions() || a.OutstandingMisses() != b.OutstandingMisses() {
-			t.Fatalf("miss %d: state diverged: now %d vs %d, misses %d vs %d", i, a.Now(), b.Now(), a.OutstandingMisses(), b.OutstandingMisses())
-		}
+func (r *refWindow) retire() {
+	i := 0
+	for i < len(r.outstanding) && r.outstanding[i] <= r.time {
+		i++
 	}
-	a.Drain()
-	b.Drain()
-	if a.Now() != b.Now() {
-		t.Fatalf("drained time diverged: %d vs %d", a.Now(), b.Now())
+	r.outstanding = slices.Delete(r.outstanding, 0, i)
+}
+
+func (r *refWindow) advance(gap int) {
+	r.time += int64(float64(gap)/r.cfg.WidthIPC + 0.5)
+	r.retire()
+}
+
+func (r *refWindow) hit() {
+	r.time += r.cfg.HitLatency
+	r.retire()
+}
+
+func (r *refWindow) issue(lat int64) {
+	r.retire()
+	if len(r.outstanding) >= r.cfg.MLP {
+		r.time = max(r.time, r.outstanding[0])
+		r.retire()
+	}
+	complete := max(r.time+lat, r.time)
+	i, _ := slices.BinarySearch(r.outstanding, complete)
+	r.outstanding = slices.Insert(r.outstanding, i, complete)
+	r.time += r.cfg.HitLatency
+}
+
+func (r *refWindow) drain() {
+	if n := len(r.outstanding); n > 0 {
+		r.time = max(r.time, r.outstanding[n-1])
+		r.outstanding = r.outstanding[:0]
+	}
+}
+
+// TestWindowMatchesSortedReference drives Core and the sorted-slice
+// reference with the same random calls — completion times drawn from a
+// handful of latencies so duplicates are common, some stale, and bursts
+// long enough to fill the window — and requires the same Now() and window
+// after every call.
+func TestWindowMatchesSortedReference(t *testing.T) {
+	for _, mlp := range []int{1, 2, 4, 8} {
+		cfg := DefaultConfig()
+		cfg.MLP = mlp
+		c := New(cfg)
+		ref := &refWindow{cfg: cfg}
+		rng := rand.New(rand.NewSource(int64(mlp)))
+		iss := &fixedIssuer{}
+		lats := []int64{-50, 0, 10, 10, 120, 300, 300, 301, 900}
+		for step := 0; step < 50000; step++ {
+			var call string
+			switch r := rng.Intn(10); {
+			case r < 2:
+				call = "AdvanceCompute"
+				gap := rng.Intn(60)
+				c.AdvanceCompute(gap)
+				ref.advance(gap)
+			case r < 3:
+				call = "NoteHit"
+				c.NoteHit()
+				ref.hit()
+			case r < 9:
+				call = "IssueMissTo"
+				iss.lat = lats[rng.Intn(len(lats))]
+				ref.issue(iss.lat)
+				c.IssueMissTo(iss)
+			default:
+				call = "Drain"
+				c.Drain()
+				ref.drain()
+			}
+			if c.Now() != ref.time || !slices.Equal(c.outstanding, ref.outstanding) {
+				t.Fatalf("MLP %d step %d %s: now %d window %v, reference now %d window %v",
+					mlp, step, call, c.Now(), c.outstanding, ref.time, ref.outstanding)
+			}
+			if cap(c.outstanding) != mlp+1 {
+				t.Fatalf("MLP %d step %d: window regrown to cap %d", mlp, step, cap(c.outstanding))
+			}
+		}
 	}
 }
 
@@ -198,8 +283,8 @@ func TestReset(t *testing.T) {
 		c.IssueMissTo(iss)
 	}
 	c.Reset()
-	if c.Now() != 0 || c.Instructions() != 0 || c.OutstandingMisses() != 0 {
-		t.Fatalf("Reset left state: now %d, instr %d, misses %d", c.Now(), c.Instructions(), c.OutstandingMisses())
+	if c.Now() != 0 || c.Instructions() != 0 || len(c.outstanding) != 0 {
+		t.Fatalf("Reset left state: now %d, instr %d, misses %d", c.Now(), c.Instructions(), len(c.outstanding))
 	}
 	fresh := New(DefaultConfig())
 	for i := 0; i < 10; i++ {

@@ -74,7 +74,8 @@ import (
 //	    {"benchmark": "swim"}
 //	  ],
 //	  "shared_llc":       false,   // one shared LLC instead of four private
-//	  "llc_bytes":        0,       // LLC capacity (0 = 1 MB; power of two)
+//	  "llc_bytes":        0,       // LLC capacity (0 = 1 MB; power of two,
+//	                               // 2 KiB to 64 MiB)
 //
 //	  "trace":            ""       // trace file (workload.TraceWriter format)
 //	                               // replayed on all four cores; adds a
@@ -173,6 +174,10 @@ func LoadScenario(path string) (Scenario, error) {
 	return s, nil
 }
 
+// maxLLCBytes caps llc_bytes: each simulator run builds up to four LLCs of
+// that size, and a scenario arrives from untrusted HTTP bodies.
+const maxLLCBytes = 64 << 20
+
 // Validate checks every field the exhibit package can judge without the
 // workload tables; mix names are validated by the experiments layer when
 // the scenario is turned into an exhibit.
@@ -235,8 +240,8 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("exhibit: scenario %q: %w", s.Name, err)
 		}
 	}
-	if s.LLCBytes != 0 && (s.LLCBytes < 2048 || bits.OnesCount(uint(s.LLCBytes)) != 1) {
-		return fmt.Errorf("exhibit: scenario %q: llc_bytes %d must be a power of two >= 2048", s.Name, s.LLCBytes)
+	if s.LLCBytes != 0 && (s.LLCBytes < 2048 || s.LLCBytes > maxLLCBytes || bits.OnesCount(uint(s.LLCBytes)) != 1) {
+		return fmt.Errorf("exhibit: scenario %q: llc_bytes %d must be a power of two in [2048, %d]", s.Name, s.LLCBytes, maxLLCBytes)
 	}
 	return nil
 }

@@ -111,6 +111,7 @@ func TestParseScenarioRejectsNewAxes(t *testing.T) {
 		"negative lines":  `{"name":"x", "tenants": [{"benchmark": "mesa", "footprint_lines": -1}]}`,
 		"llc not pow2":    `{"name":"x", "llc_bytes": 3000000}`,
 		"llc too small":   `{"name":"x", "llc_bytes": 1024}`,
+		"llc too large":   `{"name":"x", "llc_bytes": 1099511627776}`,
 		"bad burst prob":  `{"name":"x", "burst": {"row_prob": 2}}`,
 		"bad burst max":   `{"name":"x", "burst": {"row_prob": 0.5, "row_mean": 4, "row_max": 1}}`,
 		"bad burst field": `{"name":"x", "burst": {"row_probability": 0.5}}`,

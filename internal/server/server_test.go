@@ -494,6 +494,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown scenario mix", `{"scenario": {"name": "x", "mixes": ["MixNope"]}}`},
 		{"unknown scenario fault type", `{"scenario": {"name": "x", "fit_overrides": {"cosmic": 1}}}`},
 		{"nameless scenario", `{"scenario": {"trials": 10}}`},
+		{"oversized scenario llc", `{"scenario": {"name": "x", "llc_bytes": 1099511627776}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

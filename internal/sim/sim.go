@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -467,7 +468,6 @@ func RunWith(cfg Config, s *Scratch) Result {
 		core   *cpu.Core
 		llc    *cache.LLC
 		stream workload.Source
-		done   bool
 	}
 	var states [4]coreState
 	llcs := s.resetLLCs(cfg)
@@ -511,29 +511,34 @@ func RunWith(cfg Config, s *Scratch) Result {
 
 	// Event loop: always advance the core that is furthest behind, so the
 	// shared memory controller sees requests in (approximate) time order.
-	for {
-		next := -1
-		for i := range states {
-			if states[i].done {
-				continue
-			}
-			if next < 0 || states[i].core.Now() < states[next].core.Now() {
-				next = i
-			}
+	// now mirrors each core's clock, with a finished core parked at
+	// math.MaxInt64, and the next core is the earliest of the four by a
+	// pairwise tournament (the lowest index on ties), which avoids the
+	// per-core done test and pointer loads of a plain scan.
+	var now [len(states)]int64
+	for live := len(states); live > 0; {
+		next, other := 0, 2
+		if now[1] < now[0] {
+			next = 1
 		}
-		if next < 0 {
-			break
+		if now[3] < now[2] {
+			other = 3
+		}
+		if now[other] < now[next] {
+			next = other
 		}
 		st := &states[next]
 		a := st.stream.Next()
 		st.core.AdvanceCompute(a.Gap)
 		if st.core.Instructions() >= cfg.InstructionsPerCore {
 			st.core.Drain()
-			st.done = true
+			now[next] = math.MaxInt64
+			live--
 			continue
 		}
 		if st.llc.Access(a.Line, a.Write) {
 			st.core.NoteHit()
+			now[next] = st.core.Now()
 			continue
 		}
 		isUp := oracleOn && upgradedPage(pageOf(a.Line), cfg.Seed, threshold)
@@ -548,9 +553,10 @@ func RunWith(cfg Config, s *Scratch) Result {
 			// Write-allocate: the fill occupies memory but the store
 			// itself retires through the store buffer without stalling.
 			s.fetch.IssueAt(st.core.Now())
-			continue
+		} else {
+			st.core.IssueMissTo(&s.fetch)
 		}
-		st.core.IssueMissTo(&s.fetch)
+		now[next] = st.core.Now()
 	}
 
 	// Aggregate.
