@@ -100,3 +100,17 @@ func BenchmarkSampleArrivalsInto(b *testing.B) {
 		buf = SampleArrivalsInto(rng, buf, rates, 2, 36, 7)
 	}
 }
+
+// BenchmarkSampleArrivalsIntoPrepared is the plain sampler as the
+// lifetime Monte Carlos call it: on a process prepared once, outside the
+// loop.
+func BenchmarkSampleArrivalsIntoPrepared(b *testing.B) {
+	p := NewArrivalProcess(FieldStudyRates().Scale(4), 2, 36, 7)
+	rng := rand.New(rand.NewSource(7))
+	var buf []Arrival
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = p.SampleInto(rng, buf)
+	}
+}

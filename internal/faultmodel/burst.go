@@ -131,8 +131,12 @@ func sampleBurstSize(rng *rand.Rand, mean float64, max int) int {
 // bit-identical at any parallelism.
 func (b Burst) ExpandInto(rng *rand.Rand, arrivals []Arrival) []Arrival {
 	if b.IsZero() {
-		return arrivals
+		return arrivals // small enough to inline: the common no-burst trial pays no call
 	}
+	return b.expand(rng, arrivals)
+}
+
+func (b Burst) expand(rng *rand.Rand, arrivals []Arrival) []Arrival {
 	if err := b.Validate(); err != nil {
 		panic(err.Error())
 	}

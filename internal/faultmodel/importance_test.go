@@ -132,8 +132,9 @@ func TestTiltedWeightsAverageToOne(t *testing.T) {
 		var sum float64
 		const trials = 100_000
 		var buf []Arrival
+		p := NewArrivalProcess(rates, 2, 18, 7)
 		for i := 0; i < trials; i++ {
-			arr, w := SampleArrivalsTiltedInto(rng, buf, rates, tilt, 2, 18, 7)
+			arr, w := p.SampleTiltedInto(rng, buf, tilt)
 			buf = arr
 			if w <= 0 {
 				t.Fatalf("tilt %v: non-positive weight %v", tilt, w)
@@ -154,8 +155,9 @@ func TestTiltedUnbiasedMean(t *testing.T) {
 	var sum float64
 	const trials = 100_000
 	var buf []Arrival
+	p := NewArrivalProcess(rates, 2, 18, 7)
 	for i := 0; i < trials; i++ {
-		arr, w := SampleArrivalsTiltedInto(rng, buf, rates, 16, 2, 18, 7)
+		arr, w := p.SampleTiltedInto(rng, buf, 16)
 		buf = arr
 		sum += w * float64(len(arr))
 	}
@@ -171,7 +173,7 @@ func TestZeroTruncatedPoissonLaw(t *testing.T) {
 		const trials = 50_000
 		var sum float64
 		for i := 0; i < trials; i++ {
-			n := zeroTruncatedPoisson(rng, lambda)
+			n := zeroTruncatedPoisson(rng, lambda, math.Exp(-lambda), lambda/math.Expm1(lambda))
 			if n < 1 {
 				t.Fatalf("lambda %v: drew %d < 1", lambda, n)
 			}
@@ -190,9 +192,11 @@ func TestImportancePanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"conditional zero rate": func() { SampleArrivalsConditionalInto(rng, nil, Rates{}, 2, 18, 7) },
 		"conditional bad geom":  func() { SampleArrivalsConditionalInto(rng, nil, FieldStudyRates(), 0, 18, 7) },
-		"tilt zero":             func() { SampleArrivalsTiltedInto(rng, nil, FieldStudyRates(), 0, 2, 18, 7) },
-		"tilt negative":         func() { SampleArrivalsTiltedInto(rng, nil, FieldStudyRates(), -2, 2, 18, 7) },
-		"tilt bad geom":         func() { SampleArrivalsTiltedInto(rng, nil, FieldStudyRates(), 2, 2, 0, 7) },
+		"tilt zero":             func() { p := NewArrivalProcess(FieldStudyRates(), 2, 18, 7); p.SampleTiltedInto(rng, nil, 0) },
+		"tilt negative":         func() { p := NewArrivalProcess(FieldStudyRates(), 2, 18, 7); p.SampleTiltedInto(rng, nil, -2) },
+		"tilt NaN":              func() { p := NewArrivalProcess(FieldStudyRates(), 2, 18, 7); p.SampleTiltedInto(rng, nil, math.NaN()) },
+		"bad geom":              func() { NewArrivalProcess(FieldStudyRates(), 2, 0, 7) },
+		"negative years":        func() { NewArrivalProcess(FieldStudyRates(), 2, 18, -1) },
 	} {
 		func() {
 			defer func() {
@@ -229,13 +233,29 @@ func BenchmarkSampleArrivalsConditionalInto(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleArrivalsConditionalIntoPrepared is the conditional
+// sampler as the lifetime Monte Carlos call it: on a process prepared
+// once, outside the loop.
+func BenchmarkSampleArrivalsConditionalIntoPrepared(b *testing.B) {
+	p := NewArrivalProcess(rareRates(), 2, 18, 7)
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]Arrival, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		arr, _ := p.SampleConditionalInto(rng, buf)
+		buf = arr[:0]
+	}
+}
+
+// BenchmarkSampleArrivalsTiltedInto times the rate-tilted sampler on a
+// prepared process.
 func BenchmarkSampleArrivalsTiltedInto(b *testing.B) {
-	rates := rareRates()
+	p := NewArrivalProcess(rareRates(), 2, 18, 7)
 	rng := rand.New(rand.NewSource(1))
 	buf := make([]Arrival, 0, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		arr, _ := SampleArrivalsTiltedInto(rng, buf, rates, 16, 2, 18, 7)
+		arr, _ := p.SampleTiltedInto(rng, buf, 16)
 		buf = arr[:0]
 	}
 }

@@ -60,7 +60,8 @@ type CheckpointConfig struct {
 	// their accumulators are deserialized and merged in shard order as if
 	// they had just run. A checkpoint whose (Trials, Seed, ShardSize)
 	// does not match the job — or an individual shard blob that fails to
-	// deserialize — is ignored and the corresponding work re-runs.
+	// deserialize or cannot be that shard's state — is ignored and the
+	// corresponding work re-runs.
 	Resume *Checkpoint
 	// EveryShards emits a snapshot to Sink every EveryShards completed
 	// shards. When both EveryShards and Period are zero, every completed
@@ -89,6 +90,14 @@ type CheckpointConfig struct {
 type checkpointable interface {
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
+}
+
+// shardChecker is implemented by accumulators whose decoded snapshot can
+// be checked against the shard it is restored into: checkShard returns
+// an error when the state cannot be that of a shard covering trials
+// [lo, hi), and restore then re-runs the shard instead of merging it.
+type shardChecker interface {
+	checkShard(lo, hi int) error
 }
 
 // checkpointer tracks completed shards during a run and turns them into
@@ -132,8 +141,9 @@ func newCheckpointer(job Job, size int, cfg *CheckpointConfig) *checkpointer {
 }
 
 // restore deserializes the resumable shards of cfg.Resume into accs and
-// returns how many trials they cover. Invalid shards are skipped — they
-// re-run.
+// returns how many trials they cover. Invalid shards — a blob that fails
+// to decode, or decodes to state that does not fit its shard — are
+// skipped: they re-run.
 func (c *checkpointer) restore(accs []Accumulator) (resumedTrials int) {
 	r := c.cfg.Resume
 	if !r.matches(c.trials, c.seed, c.size) {
@@ -146,6 +156,12 @@ func (c *checkpointer) restore(accs []Accumulator) (resumedTrials int) {
 		acc := c.job.NewAcc()
 		if err := acc.(checkpointable).UnmarshalBinary(blob); err != nil {
 			continue
+		}
+		if sc, ok := acc.(shardChecker); ok {
+			lo := s * c.size
+			if sc.checkShard(lo, lo+shardTrials(s, c.size, c.trials)) != nil {
+				continue
+			}
 		}
 		accs[s] = acc
 		c.blobs[s] = blob

@@ -67,7 +67,9 @@ type Job struct {
 	// NewAcc allocates an empty per-shard accumulator.
 	NewAcc func() Accumulator
 	// Trial runs trial number trial (0-based, global across shards) using
-	// the shard's rng and records its result in acc.
+	// the shard's rng and records its result in acc. The rng is valid only
+	// during the call: the engine reseeds it for the worker's next shard,
+	// so a trial must not retain it.
 	Trial func(rng *rand.Rand, trial int, acc Accumulator)
 	// NewScratch, optional, allocates a scratch workspace. It is created
 	// once per worker and handed to every TrialScratch call that worker
@@ -184,8 +186,11 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 		}
 		return nil
 	}
-	runShard := func(s int, scratch any) {
-		rng := rand.New(rand.NewSource(ShardSeed(job.Seed, s)))
+	// Each worker owns one RNG and reseeds it per shard; the reseeded
+	// stream is bit-identical to rand.New(rand.NewSource(seed)).
+	newRNG := func() *rand.Rand { return rand.New(&shardSource{}) }
+	runShard := func(s int, scratch any, rng *rand.Rand) {
+		rng.Seed(ShardSeed(job.Seed, s))
 		acc := job.NewAcc()
 		lo := s * size
 		hi := lo + size
@@ -215,7 +220,7 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 		workers = toRun
 	}
 	if workers <= 1 {
-		scratch := newScratch()
+		scratch, rng := newScratch(), newRNG()
 		done := resumed
 		for s := 0; s < shards; s++ {
 			if accs[s] != nil {
@@ -227,7 +232,7 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 				}
 				return nil, ErrCanceled
 			}
-			runShard(s, scratch)
+			runShard(s, scratch, rng)
 			if ckpt != nil {
 				ckpt.completed(s, accs[s])
 			}
@@ -247,14 +252,14 @@ func RunCtx(ctx context.Context, job Job, opts Options) (Accumulator, error) {
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				scratch := newScratch()
+				scratch, rng := newScratch(), newRNG()
 				for s := range shardCh {
 					// Drain without working once the run is cancelled, so
 					// the dispatcher never blocks and the pool exits.
 					if ctx.Err() != nil {
 						continue
 					}
-					runShard(s, scratch)
+					runShard(s, scratch, rng)
 					if ckpt != nil {
 						ckpt.completed(s, accs[s])
 					}
@@ -451,12 +456,30 @@ func (m *mapAcc[T]) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores a shard's trial results from MarshalBinary
-// bytes.
+// bytes. It rejects a snapshot whose index and value lists differ in
+// length.
 func (m *mapAcc[T]) UnmarshalBinary(b []byte) error {
 	var w mapAccWire[T]
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
+	if len(w.Idx) != len(w.Vals) {
+		return fmt.Errorf("mc: map snapshot holds %d indexes for %d values", len(w.Idx), len(w.Vals))
+	}
 	m.idx, m.vals = w.Idx, w.Vals
+	return nil
+}
+
+// checkShard accepts exactly the state the shard's own run leaves: one
+// result per trial, in trial order lo..hi-1.
+func (m *mapAcc[T]) checkShard(lo, hi int) error {
+	if len(m.idx) != hi-lo {
+		return fmt.Errorf("mc: map snapshot holds %d trials, shard has %d", len(m.idx), hi-lo)
+	}
+	for i, idx := range m.idx {
+		if idx != lo+i {
+			return fmt.Errorf("mc: map snapshot holds trial %d at position %d of shard [%d, %d)", idx, i, lo, hi)
+		}
+	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"arcc/internal/stats"
 )
@@ -49,7 +50,8 @@ type WeightedJob struct {
 	// engine before every call, len == Dims) and returns the trial's
 	// likelihood ratio against the target distribution — 1 for plain
 	// sampling. The weight must be finite and non-negative. scratch is
-	// nil when NewScratch is.
+	// nil when NewScratch is. As in Job.Trial, rng is valid only during
+	// the call.
 	Trial func(rng *rand.Rand, trial int, scratch any, vals []float64) float64
 }
 
@@ -133,23 +135,10 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 		}
 		seen[d] = true
 	}
-	newSet := func() *WeightedSet {
-		set := &WeightedSet{Dims: make([]stats.Weighted, job.Dims)}
-		if len(job.SketchDims) > 0 {
-			set.SketchDims = append([]int(nil), job.SketchDims...)
-			set.Sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
-			for j := range set.Sketches {
-				set.Sketches[j] = stats.NewQuantileSketch(job.SketchK)
-			}
-		}
-		return set
-	}
 	acc, err := RunCtx(ctx, Job{
-		Trials: job.Trials,
-		Seed:   job.Seed,
-		NewAcc: func() Accumulator {
-			return &weightedAcc{set: newSet(), vals: make([]float64, job.Dims)}
-		},
+		Trials:     job.Trials,
+		Seed:       job.Seed,
+		NewAcc:     func() Accumulator { return newWeightedAcc(&job) },
 		NewScratch: job.NewScratch,
 		TrialScratch: func(rng *rand.Rand, trial int, a Accumulator, scratch any) {
 			wa := a.(*weightedAcc)
@@ -164,6 +153,19 @@ func RunWeightedCtx(ctx context.Context, job WeightedJob, opts Options) (*Weight
 		return nil, err
 	}
 	return acc.(*weightedAcc).set, nil
+}
+
+// newWeightedAcc returns an empty shard accumulator of the job's shape.
+func newWeightedAcc(job *WeightedJob) *weightedAcc {
+	set := &WeightedSet{Dims: make([]stats.Weighted, job.Dims)}
+	if len(job.SketchDims) > 0 {
+		set.SketchDims = append([]int(nil), job.SketchDims...)
+		set.Sketches = make([]*stats.QuantileSketch, len(job.SketchDims))
+		for j := range set.Sketches {
+			set.Sketches[j] = stats.NewQuantileSketch(job.SketchK)
+		}
+	}
+	return &weightedAcc{set: set, vals: make([]float64, job.Dims)}
 }
 
 // weightedAcc is the per-shard accumulator of a weighted job: the
@@ -190,12 +192,72 @@ func (a *weightedAcc) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores a shard's estimator set from MarshalBinary
-// bytes.
+// bytes. The receiver comes from the job's NewAcc, so its set has the
+// job's shape; a snapshot of any other shape (dimension count, sketched
+// dimensions, sketch capacities) or with a malformed sketch is rejected.
 func (a *weightedAcc) UnmarshalBinary(b []byte) error {
 	set := new(WeightedSet)
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(set); err != nil {
 		return err
 	}
+	if len(set.Dims) != len(a.set.Dims) || !slices.Equal(set.SketchDims, a.set.SketchDims) ||
+		len(set.Sketches) != len(a.set.Sketches) {
+		return fmt.Errorf("mc: weighted snapshot of shape %d/%v/%d, job has %d/%v/%d",
+			len(set.Dims), set.SketchDims, len(set.Sketches), len(a.set.Dims), a.set.SketchDims, len(a.set.Sketches))
+	}
+	for j, sk := range set.Sketches {
+		if err := checkSketch(sk, a.set.Sketches[j].K); err != nil {
+			return err
+		}
+	}
 	a.set = set
+	return nil
+}
+
+// checkSketch accepts a sketch of capacity k in the state Add, compact
+// and Merge leave: every level below capacity and free of NaN, and the
+// levels' weights summing to N.
+func checkSketch(sk *stats.QuantileSketch, k int) error {
+	if sk == nil {
+		return fmt.Errorf("mc: weighted snapshot holds a nil sketch")
+	}
+	if sk.K != k {
+		return fmt.Errorf("mc: weighted snapshot sketch capacity %d, job has %d", sk.K, k)
+	}
+	if len(sk.Levels) > 62 {
+		return fmt.Errorf("mc: weighted snapshot sketch has %d levels", len(sk.Levels))
+	}
+	var n int64
+	for lvl, items := range sk.Levels {
+		if len(items) >= k {
+			return fmt.Errorf("mc: weighted snapshot sketch level %d holds %d items, capacity %d", lvl, len(items), k)
+		}
+		for _, x := range items {
+			if math.IsNaN(x) {
+				return fmt.Errorf("mc: weighted snapshot sketch holds NaN")
+			}
+		}
+		n += int64(len(items)) << lvl
+	}
+	if n != sk.N {
+		return fmt.Errorf("mc: weighted snapshot sketch weighs %d, claims %d observations", n, sk.N)
+	}
+	return nil
+}
+
+// checkShard accepts a set that counts every trial of the shard once in
+// every estimator and sketch.
+func (a *weightedAcc) checkShard(lo, hi int) error {
+	n := int64(hi - lo)
+	for i := range a.set.Dims {
+		if c := a.set.Dims[i].N(); c != n {
+			return fmt.Errorf("mc: weighted snapshot dimension %d counts %d trials, shard has %d", i, c, n)
+		}
+	}
+	for _, sk := range a.set.Sketches {
+		if sk.N != n {
+			return fmt.Errorf("mc: weighted snapshot sketch counts %d trials, shard has %d", sk.N, n)
+		}
+	}
 	return nil
 }

@@ -194,6 +194,7 @@ func runSeriesStats(ctx context.Context, seed int64, opts mc.Options, rates faul
 	if accel.Mode == AccelConditional && faultmodel.ExpectedArrivals(rates, ranks, devicesPerRank, float64(years)) <= 0 {
 		return nil, fmt.Errorf("reliability: conditional acceleration of a zero-rate fault process (nothing to condition on)")
 	}
+	proc := faultmodel.NewArrivalProcess(rates, ranks, devicesPerRank, float64(years))
 	tiltHint := burst.CapHintFactor()
 	if accel.Mode == AccelTilted {
 		tiltHint *= accel.Tilt
@@ -209,11 +210,11 @@ func runSeriesStats(ctx context.Context, seed int64, opts mc.Options, rates faul
 			w := 1.0
 			switch accel.Mode {
 			case AccelConditional:
-				arrivals, w = faultmodel.SampleArrivalsConditionalInto(rng, scratch.buf, rates, ranks, devicesPerRank, float64(years))
+				arrivals, w = proc.SampleConditionalInto(rng, scratch.buf)
 			case AccelTilted:
-				arrivals, w = faultmodel.SampleArrivalsTiltedInto(rng, scratch.buf, rates, accel.Tilt, ranks, devicesPerRank, float64(years))
+				arrivals, w = proc.SampleTiltedInto(rng, scratch.buf, accel.Tilt)
 			default:
-				arrivals = faultmodel.SampleArrivalsInto(rng, scratch.buf, rates, ranks, devicesPerRank, float64(years))
+				arrivals = proc.SampleInto(rng, scratch.buf)
 			}
 			arrivals = burst.ExpandInto(rng, arrivals)
 			scratch.buf = arrivals

@@ -55,8 +55,8 @@ func (a *yearSums) UnmarshalBinary(b []byte) error {
 
 // arrivalScratch is the per-shard workspace of the lifetime Monte Carlos:
 // one fault-arrival buffer plus one per-year series buffer, reused by
-// every trial of a shard. Both only carry capacity between trials —
-// SampleArrivalsInto overwrites the arrival buffer from scratch and the
+// every trial of a shard. Both only carry capacity between trials — the
+// samplers overwrite the arrival buffer from scratch and the
 // series helpers overwrite every year slot — so reuse cannot leak state
 // across trials.
 type arrivalScratch struct {
@@ -197,15 +197,16 @@ func LifetimeOverheadBurstCtx(ctx context.Context, seed int64, opts mc.Options, 
 }
 
 // runSeriesMean runs one plain lifetime Monte Carlo, the unweighted
-// counterpart of runSeriesStats: trials draw an arrival history, expand
-// it under the burst model, evaluate the per-year series, and add it to
-// the shard's per-year sums; the merged sums are divided by the channel
-// count.
+// counterpart of runSeriesStats: trials draw an arrival history from the
+// call's prepared arrival process, expand it under the burst model,
+// evaluate the per-year series, and add it to the shard's per-year sums;
+// the merged sums are divided by the channel count.
 func runSeriesMean(ctx context.Context, seed int64, opts mc.Options, rates faultmodel.Rates, burst faultmodel.Burst,
 	ranks, devicesPerRank int, years, channels int, series func(arrivals []faultmodel.Arrival, series []float64)) ([]float64, error) {
 	if err := burst.Validate(); err != nil {
 		return nil, err
 	}
+	proc := faultmodel.NewArrivalProcess(rates, ranks, devicesPerRank, float64(years))
 	acc, err := mc.RunCtx(ctx, mc.Job{
 		Trials:     channels,
 		Seed:       seed,
@@ -214,7 +215,7 @@ func runSeriesMean(ctx context.Context, seed int64, opts mc.Options, rates fault
 		TrialScratch: func(rng *rand.Rand, _ int, a mc.Accumulator, sc any) {
 			sums := a.(*yearSums).sums
 			scratch := sc.(*arrivalScratch)
-			arrivals := faultmodel.SampleArrivalsInto(rng, scratch.buf, rates, ranks, devicesPerRank, float64(years))
+			arrivals := proc.SampleInto(rng, scratch.buf)
 			arrivals = burst.ExpandInto(rng, arrivals)
 			scratch.buf = arrivals
 			series(arrivals, scratch.series)

@@ -32,10 +32,12 @@ run -bench='MulAddSlice|EncodeInto|Syndromes|ChienSearch|DecodeScratch|Decode2Er
 run -bench='SampleArrivals' ./internal/faultmodel/
 # Streaming estimators and the weighted MC path (PR 9): per-observation
 # accumulator costs, the weighted engine overhead, and the conditional
-# rare-event lifetime sweep end to end.
+# rare-event lifetime sweep end to end. RunShardSetup is the engine's
+# per-shard cost (reseeding the worker's RNG, one empty shard), and
+# LifetimeOverheadSerial the plain lifetime Monte Carlo on one worker.
 run -bench='WelfordAdd|WeightedAdd|QuantileSketch' ./internal/stats/
-run -bench='RunWeighted' ./internal/mc/
-run -bench='LifetimeOverheadStatsConditional' ./internal/reliability/
+run -bench='RunWeighted|RunShardSetup' ./internal/mc/
+run -bench='LifetimeOverheadStatsConditional|LifetimeOverheadSerial' ./internal/reliability/
 # The paged sparse memory core (PR 10): a terabyte-span line sweep over
 # lazily materialised pages — ns/op and B/op gate the zero-alloc
 # steady-state contract, and the bytes-resident/pages-resident metrics
